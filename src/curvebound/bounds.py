@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .classical import FamilySpec, family_order
+
 F = Fraction
 
 # -- power bounds -----------------------------------------------------------
@@ -288,22 +290,6 @@ class Step:
     note: str = ""
 
 
-def _pgl2_order(q):
-    return q * (q - 1) * (q + 1)
-
-
-def _psu3_order(q):
-    return q**3 * (q**2 - 1) * (q**3 + 1) // gcd(3, q + 1)
-
-
-def _psl3_order(q):
-    return q**3 * (q**3 - 1) * (q**2 - 1) // gcd(3, q - 1)
-
-
-def _pgl3_order(q):
-    return q**3 * (q**3 - 1) * (q**2 - 1)
-
-
 def _min_even_genus(order_bound: int) -> int:
     """Smallest even g >= 2 with 84*g*(g-1) >= order_bound."""
     from math import isqrt
@@ -505,7 +491,7 @@ def _build_registry():
         Step("psl2.c1.c50864", "const", "collapse (37.75/1.6)*60^(3/4)",
              (F(755, 32), 60**3, 4, F(50864, 100), False),
              note="(37.75/1.6)^4 * 60^3 <= 508.64^4"),
-        Step("psl2.c1.arith_pgl2_125", "arith", "3*|PGL(2,125)|", (3 * _pgl2_order(125), 5859000)),
+        Step("psl2.c1.arith_pgl2_125", "arith", "3*|PGL(2,125)|", (3 * family_order(FamilySpec("PGL2", 125)), 5859000)),
         Step("psl2.c1.g266", "even_genus_min", "even genus floor in the twisted subcase", (5859000, 266)),
         Step("psl2.c1.s048", "dominates", "absorb the linear term from g >= 266",
              (sixty_gm1, PowerBound(F(12, 25), shift=-1, num=3, den=2, mult=60), 266, None),
@@ -558,7 +544,7 @@ def _build_registry():
     psu_qs = tuple(_prime_powers(400, residue=1, modulus=4, minimum=5))
     add(
         "psu3",
-        Step("psu.arith_order5", "arith", "|PSU(3,5)|", (_psu3_order(5), 126000)),
+        Step("psu.arith_order5", "arith", "|PSU(3,5)|", (family_order(FamilySpec("PSU3", 5)), 126000)),
         Step("psu.g40", "even_genus_min", "even genus floor from PSU(3,5)", (126000, 40)),
         Step("psu.qpoly", "poly", "(q-1)^5 < q^3(q^2-1) for q >= 2",
              ((1, -5, 10, -11, 5), 2),
@@ -575,13 +561,13 @@ def _build_registry():
              note="even the leading term 240(g-1)(90(g-1))^(3/5) exceeds 242*90^(1/5)(g-1)^(8/5) at g = 40; "
                   "the net claim is validated per q in psu.assembly_perq"),
         Step("psu.assembly_perq", "per_q", "net bound |PSU3(q)| < 595.21 (g-1)^(8/5) on its branch",
-             (_psu3_order, _psu_gm1, F(59521, 100), 8, 5, psu_qs, _expand_tail_psu(), 400),
+             (lambda q: family_order(FamilySpec("PSU3", q)), _psu_gm1, F(59521, 100), 8, 5, psu_qs, _expand_tail_psu(), 400),
              note="exact for prime powers q = 1 mod 4 up to 400; polynomial tail beyond"),
         Step("psu.s345", "dominates", "exponent drop 8/5 to 7/4 from g >= 40",
              (PowerBound(F(59521, 100), shift=-1, num=8, den=5), PowerBound(F(345), shift=-1, num=7, den=4), 40, None),
              note="595.21(g-1)^(8/5) < 345(g-1)^(7/4) for g >= 40 (sharp at 39)"),
         Step("psu.g15378928", "even_genus_min", "even genus floor from PSU(3,125)",
-             (_psu3_order(125), 15378928)),
+             (family_order(FamilySpec("PSU3", 125)), 15378928)),
         Step("psu.arith_10938", "arith", "twisted constant 3*595.21/1.6",
              (3 * F(59521, 100) / F(8, 5), F(178563, 160))),
         Step("psu.c175024", "const", "collapse (3*595.21/1.6)*90^(1/10)",
@@ -596,7 +582,7 @@ def _build_registry():
     psl3_qs = tuple(_prime_powers(400, residue=3, modulus=4, minimum=3))
     add(
         "psl3",
-        Step("psl3.arith_order3", "arith", "|PSL(3,3)|", (_psl3_order(3), 5616)),
+        Step("psl3.arith_order3", "arith", "|PSL(3,3)|", (family_order(FamilySpec("PSL3", 3)), 5616)),
         Step("psl3.g10", "even_genus_min", "even genus floor from PSL(3,3)", (5616, 10)),
         Step("psl3.qpoly", "poly", "(q-1)^4 < q^3(q+1) for q >= 1",
              ((-1, 4, -6, 5), 1),
@@ -614,7 +600,7 @@ def _build_registry():
              note="180(g-1)((90(g-1))^(1/6)+1)^2 expands to 720*90^(1/3)(g-1)^(4/3), not 720(g-1)^(4/3); "
                   "the net claim is validated per q in psl3.assembly_perq"),
         Step("psl3.assembly_perq", "per_q", "net bound |PGL3(q)| < 290 (g-1)^(7/4) on its branch",
-             (_pgl3_order, _psl3_gm1, F(290), 7, 4, psl3_qs, _expand_tail_psl3(), 400),
+             (lambda q: family_order(FamilySpec("PGL3", q)), _psl3_gm1, F(290), 7, 4, psl3_qs, _expand_tail_psl3(), 400),
              note="exact for prime powers q = 3 mod 4 up to 400; polynomial tail beyond"),
         Step("psl3.s290", "dominates", "printed final comparison, as stated",
              (PowerBound(F(720), shift=-1, num=4, den=3), PowerBound(F(290), shift=-1, num=7, den=4), 10, None),

@@ -322,9 +322,6 @@ class ExtField:
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
     def mul(self, a, b):
         out = [0] * (2 * self.k - 1)
         for i, x in enumerate(a):
@@ -347,10 +344,3 @@ class ExtField:
 
     def is_zero(self, a):
         return all(c == 0 for c in a)
-
-    def eval_poly(self, f: FpPoly, x):
-        """Evaluate a prime-field polynomial at an extension element."""
-        acc = self.zero()
-        for c in reversed(f.coeffs):
-            acc = self.add(self.mul(acc, x), self.embed(c))
-        return acc

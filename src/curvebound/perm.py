@@ -105,8 +105,14 @@ class Permutation:
         return result
 
     def conjugate(self, g: "Permutation") -> "Permutation":
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
+        """g^-1 * self * g, built in one pass: it sends g(i) to g(self(i))."""
+        if self.degree != g.degree:
+            raise DegreeMismatchError(f"degree {self.degree} != {g.degree}")
+        gi = g.images
+        images = [0] * self.degree
+        for i, j in enumerate(self.images):
+            images[gi[i]] = gi[j]
+        return Permutation(images)
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))

@@ -3,9 +3,10 @@
 The certificate is built with a deterministic (non-randomized) Schreier-Sims
 pass: a scan over all Schreier generators runs until every one of them sifts
 to the identity, which is exactly the textbook criterion for the stabilizer
-chain to be correct.  Order, membership, stabilizers, Sylow subgroups,
-normalizers and the subgroup-class survey are all derived from the chain; no
-group fact is ever read from a table.
+chain to be correct.  Order, membership, Sylow subgroups and solvability are
+derived from the chain; point stabilizers, normalizers and subgroup class
+sizes come from one orbit-stabilizer routine.  No group fact is ever read
+from a table.
 
 Groups are immutable once constructed and every operation is pure, so shared
 instances are safe under concurrent use.  All scans run in sorted element
@@ -15,12 +16,10 @@ order, which makes every output bit-identical across runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from math import gcd
 
 from .perm import DegreeMismatchError, Permutation
 
-SUBGROUP_ORDER_CAP = 10**4
 ELEMENT_SCAN_CAP = 10**7
 
 
@@ -179,27 +178,42 @@ class PermGroup:
         return PermGroup(gens, self.degree)
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a point (0-based), read off a chain based at it."""
-        based = PermGroup._with_base_hint(self.generators, self.degree, (point,))
-        if not based._levels or based._levels[0].point != point:
-            return based  # point not moved: the stabilizer is the whole group
-        gens = [s for s in based._strong if s(point) == point]
-        return PermGroup(gens, self.degree)
+        """Stabilizer of a point (0-based)."""
+        _, stabilizer = self._orbit_stabilizer(point, lambda pt, g: g(pt))
+        return stabilizer
 
-    @classmethod
-    def _with_base_hint(cls, gens, degree, base_hint):
-        group = cls.__new__(cls)
-        group.degree = degree
-        group.generators = tuple(sorted(set(g for g in gens if not g.is_identity())))
-        group._levels = [_Level(p) for p in base_hint if any(g(p) != p for g in group.generators)]
-        group._strong = []
-        group._elements = None
-        group._class_reps = None
-        group._build()
-        group._order = 1
-        for level in group._levels:
-            group._order *= len(level.transversal)
-        return group
+    def _orbit_stabilizer(self, x, act):
+        """Orbit of x under ``act(y, g)`` as a transversal, and its stabilizer.
+
+        The orbit is found by BFS over the generators; ``transversal[y]``
+        carries x to y.  By Schreier's lemma the elements t_y g t_act(y,g)^-1
+        generate the stabilizer.  They are deduplicated and sorted, and one is
+        kept only when it lies outside the group generated by those kept
+        before it, so every run builds the same chain from few generators.
+        """
+        transversal = {x: self.identity()}
+        frontier = [x]
+        schreier = set()
+        while frontier:
+            new = []
+            for y in frontier:
+                t = transversal[y]
+                for g in self.generators:
+                    z = act(y, g)
+                    u = transversal.get(z)
+                    if u is None:
+                        transversal[z] = t * g
+                        new.append(z)
+                    else:
+                        schreier.add(t * g * u.inverse())
+            frontier = new
+        gens = []
+        stabilizer = PermGroup(gens, self.degree)
+        for s in sorted(schreier):
+            if s not in stabilizer:
+                gens.append(s)
+                stabilizer = PermGroup(gens, self.degree)
+        return transversal, stabilizer
 
     # -- derived structure ---------------------------------------------------
 
@@ -311,27 +325,25 @@ class PermGroup:
         return current
 
     def normalizer(self, subgroup: "PermGroup") -> "PermGroup":
-        """N_G(H) by a filtered scan over the elements of G."""
+        """N_G(H): the stabilizer of H's element set under conjugation."""
+        _, stabilizer = self._conjugates_of(subgroup)
+        return stabilizer
+
+    def conjugacy_class_size_of_subgroup(self, subgroup: "PermGroup") -> int:
+        """Number of G-conjugates of H: the length of its conjugation orbit."""
+        transversal, _ = self._conjugates_of(subgroup)
+        return len(transversal)
+
+    def _conjugates_of(self, subgroup):
         if subgroup.degree != self.degree:
             raise DegreeMismatchError("subgroup degree differs")
         for h in subgroup.generators:
             if h not in self:
                 raise ValueError("not a subgroup: generator outside the group")
-        h_gens = subgroup.generators
-        if not h_gens:
-            return self
-        h_set = frozenset(g.images for g in subgroup.elements())
-        probe = h_gens[0]
-        gens = []
-        for g in self.elements():
-            if probe.conjugate(g).images not in h_set:
-                continue
-            if all(h.conjugate(g).images in h_set for h in h_gens[1:]):
-                gens.append(g)
-        return PermGroup(gens, self.degree)
-
-    def conjugacy_class_size_of_subgroup(self, subgroup: "PermGroup") -> int:
-        return self._order // self.normalizer(subgroup).order()
+        return self._orbit_stabilizer(
+            frozenset(subgroup.elements()),
+            lambda elements, g: frozenset(h.conjugate(g) for h in elements),
+        )
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -396,157 +408,11 @@ def closure_elements(gens, degree=None):
     return seen
 
 
-# -- subgroup classes -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubgroupRecord:
-    """One conjugacy class of subgroups."""
-
-    representative: PermGroup
-    order: int
-    is_solvable: bool
-    class_size: int
+# -- p-subgroups ------------------------------------------------------------
 
 
 def _subgroup_key(elements):
     return tuple(sorted(g.images for g in elements))
-
-
-def _set_conjugate(elements, g):
-    return frozenset(h.conjugate(g) for h in elements)
-
-
-def _class_orbit(elements, group):
-    """All G-conjugates of a subgroup element-set; canonical key and size."""
-    start = frozenset(elements)
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        s = frontier.pop()
-        for g in group.generators:
-            c = _set_conjugate(s, g)
-            if c not in orbit:
-                orbit.add(c)
-                frontier.append(c)
-    key = min(_subgroup_key(s) for s in orbit)
-    return orbit, key
-
-
-def _coset_extension(h_elements, g, m):
-    """Union of cosets H g^i for i < m; a subgroup when g normalizes H."""
-    out = set(h_elements)
-    power = g
-    for _ in range(m - 1):
-        out.update(h * power for h in h_elements)
-        power = power * g
-    return out
-
-
-def subgroup_classes(group: PermGroup, max_order: int):
-    """Conjugacy classes of subgroups of order <= max_order.
-
-    Solvable classes come from the cyclic-extension method (extend each known
-    subgroup by prime-order cosets of its normalizer); the remaining classes
-    are completed by closing class representatives with extra elements.
-    Refuses when |G| exceeds the documented cap.
-    """
-    if group.order() > SUBGROUP_ORDER_CAP:
-        raise SizeCapExceededError(f"order {group.order()} exceeds cap {SUBGROUP_ORDER_CAP}")
-    max_order = min(max_order, group.order())
-    ident = group.identity()
-    element_orders = {g: g.order() for g in group.elements()}
-
-    classes = {}  # canonical key -> (frozenset elements, list gens)
-    seen_sets = {}
-
-    def register(elements, gens):
-        s = frozenset(elements)
-        if s in seen_sets:
-            return False
-        orbit, key = _class_orbit(s, group)
-        for c in orbit:
-            seen_sets[c] = key
-        classes[key] = (s, tuple(gens), len(orbit))
-        return True
-
-    register([ident], [])
-    # cyclic-extension sweep: picks up every solvable class
-    frontier = [frozenset([ident])]
-    while frontier:
-        nxt = []
-        for h_set in sorted(frontier, key=_subgroup_key):
-            h_group = PermGroup(sorted(h_set), group.degree)
-            normal = group.normalizer(h_group)
-            for g in normal.elements():
-                if g in h_set:
-                    continue
-                m = 1
-                power = g
-                while power not in h_set:
-                    power = power * g
-                    m += 1
-                if not _is_prime(m) or len(h_set) * m > max_order:
-                    continue
-                k_set = frozenset(_coset_extension(h_set, g, m))
-                if k_set not in seen_sets:
-                    gens = sorted(h_set | {g})
-                    if register(k_set, gens):
-                        nxt.append(k_set)
-        frontier = nxt
-    # completion: joins pick up classes with a perfect core
-    changed = True
-    while changed:
-        changed = False
-        for key in sorted(classes):
-            h_set, h_gens, _ = classes[key]
-            if len(h_set) * 2 > max_order:
-                continue
-            base_gens = sorted(h_set)
-            for g in group.elements():
-                if g in h_set or not _is_prime_power(element_orders[g]):
-                    continue
-                joined = PermGroup(list(h_gens) + [g] if h_gens else base_gens + [g], group.degree)
-                if joined.order() > max_order:
-                    continue
-                j_set = frozenset(joined.elements())
-                if j_set not in seen_sets:
-                    if register(j_set, joined.generators):
-                        changed = True
-    records = []
-    for key in classes:
-        h_set, gens, class_size = classes[key]
-        rep = PermGroup(list(gens) if gens else [], group.degree)
-        records.append(
-            SubgroupRecord(
-                representative=rep,
-                order=len(h_set),
-                is_solvable=rep.is_solvable(),
-                class_size=class_size,
-            )
-        )
-    records.sort(key=lambda r: (r.order, r.class_size, _subgroup_key(r.representative.elements())))
-    return records
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, n + 1):
-        if _is_prime(p) and n % p == 0:
-            return _is_p_power(n, p)
-    return False
 
 
 def p_subgroup_class_reps(group: PermGroup, p: int):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .fppoly import ExtField, FpPoly, factor_multiplicities
+from .fppoly import ExtField, FpPoly, _is_prime, factor_multiplicities
 from .ramification import kummer_genus
 
 ZETA_GENUS_CAP = 3
@@ -47,14 +47,10 @@ class CurveModel:
             raise UnsupportedModelError("right-hand side must be non-constant")
         mults = [mult for _, mult in factor_multiplicities(self.f)]
         for d in range(2, self.m + 1):
-            if self.m % d == 0 and _is_prime_int(d) and all(mu % d == 0 for mu in mults):
+            if self.m % d == 0 and _is_prime(d) and all(mu % d == 0 for mu in mults):
                 raise UnsupportedModelError("cover splits: an m-th root of f exists up to scalars")
         if genus_of_model(self) < 1:
             raise UnsupportedModelError("model has genus 0")
-
-
-def _is_prime_int(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 def genus_of_model(model: CurveModel) -> int:
@@ -67,10 +63,7 @@ def genus_of_model(model: CurveModel) -> int:
     """
     if model.m == 2:
         return (model.f.degree - 1) // 2
-    exponents = []
-    for poly, mult in factor_multiplicities(model.f):
-        exponents.extend([mult] * poly.degree)
-    return kummer_genus(model.m, exponents, model.p)
+    return normalization_genus(model)
 
 
 def normalization_genus(model: CurveModel) -> int:

@@ -61,6 +61,7 @@ def test_order_and_parity():
 def test_inverse_and_associativity(a, b):
     assert (a * a.inverse()).is_identity()
     assert (a * b).inverse() == b.inverse() * a.inverse()
+    assert a.conjugate(b) == b.inverse() * a * b
 
 
 @settings(max_examples=60, deadline=None)

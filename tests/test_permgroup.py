@@ -7,13 +7,11 @@ import pytest
 from curvebound.perm import DegreeMismatchError, Permutation
 from curvebound.permgroup import (
     PermGroup,
-    SizeCapExceededError,
     closure_elements,
     group_from_generators,
     max_solvable_with_cyclic_complement,
     p_subgroup_class_reps,
     parse_generator_file,
-    subgroup_classes,
 )
 
 
@@ -176,45 +174,50 @@ def test_normalizer_rejects_non_subgroup():
         s4.normalizer(outside)
 
 
-def test_subgroup_classes_sym4():
-    records = subgroup_classes(sym(4), 24)
-    assert len(records) == 11
-    assert sum(r.class_size for r in records) == 30
-    assert all(r.is_solvable for r in records)
-    orders = sorted((r.order, r.class_size) for r in records)
-    assert orders == [(1, 1), (2, 3), (2, 6), (3, 4), (4, 1), (4, 3), (4, 3), (6, 4), (8, 3), (12, 1), (24, 1)]
+def brute_normalizer_order(closure, subgroup):
+    """Oracle: |N_G(H)| by filtering the exhaustive closure of G by conjugation."""
+    h_set = set(subgroup.elements())
+    return sum(all(h.conjugate(g) in h_set for h in subgroup.generators) for g in closure)
 
 
-def test_subgroup_classes_alt5_against_brute_closure():
-    a5 = PermGroup([Permutation.parse("(1,2,3)", 5), Permutation.parse("(3,4,5)", 5)])
-    records = subgroup_classes(a5, 60)
-    assert sum(r.class_size for r in records) == 59
-    assert len(records) == 9
-    # the only non-solvable subgroup is the whole group
-    assert [r.order for r in records if not r.is_solvable] == [60]
-    # canonical ordering by (order, class size)
-    keys = [(r.order, r.class_size) for r in records]
-    assert keys == sorted(keys)
+@pytest.mark.parametrize("name", ["alt7", "m11"])
+def test_normalizer_against_brute_scan(name, request):
+    group = request.getfixturevalue(name)
+    closure = closure_elements(list(group.generators), group.degree)
+    for p in {"alt7": (2, 3, 5, 7), "m11": (2, 3, 5, 11)}[name]:
+        for sub in [group.sylow_subgroup(p)] + p_subgroup_class_reps(group, p):
+            assert group.normalizer(sub).order() == brute_normalizer_order(closure, sub)
 
 
-def test_subgroup_classes_trivial_group():
-    records = subgroup_classes(group_from_generators([], degree=3), 10)
-    assert len(records) == 1
-    assert records[0].order == 1
+S4_SUBGROUPS = [
+    pytest.param(["(1,2)"], 6, id="C2-transposition"),
+    pytest.param(["(1,2)(3,4)"], 3, id="C2-double-transposition"),
+    pytest.param(["(1,2,3)"], 4, id="C3"),
+    pytest.param(["(1,2)(3,4)", "(1,3)(2,4)"], 1, id="V4-normal"),
+    pytest.param(["(1,2)", "(3,4)"], 3, id="V4-nonnormal"),
+    pytest.param(["(1,2,3,4)"], 3, id="C4"),
+    pytest.param(["(1,2,3,4)", "(1,3)"], 3, id="D8"),
+]
 
 
-def test_subgroup_classes_max_order_cut():
-    records = subgroup_classes(sym(4), 4)
-    assert all(r.order <= 4 for r in records)
-    assert sum(r.class_size for r in records) == 1 + 9 + 4 + 7  # 1, C2 x9, C3 x4, order-4 x7
+@pytest.mark.parametrize("gens, size", S4_SUBGROUPS)
+def test_conjugacy_class_size_of_subgroup_sym4(gens, size):
+    s4 = sym(4)
+    sub = s4.subgroup([Permutation.parse(g, 4) for g in gens])
+    assert s4.conjugacy_class_size_of_subgroup(sub) == size
+    assert size * s4.normalizer(sub).order() == 24
 
 
-def test_subgroup_classes_cap(m11):
-    big = PermGroup(
-        [Permutation.parse("(1,2)", 12), Permutation.parse("(1,2,3,4,5,6,7,8,9,10,11,12)", 12)]
+@pytest.mark.parametrize("name", ["alt7", "m11", "sym4", "sym5", "sym6"])
+def test_orders_and_point_stabilizers_against_sympy(name, request):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    group = sym(int(name[3:])) if name.startswith("sym") else request.getfixturevalue(name)
+    other = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.images)) for g in group.generators]
     )
-    with pytest.raises(SizeCapExceededError):
-        subgroup_classes(big, 100)
+    assert group.order() == other.order()
+    for i in range(group.degree):
+        assert group.point_stabilizer(i).order() == other.stabilizer(i).order()
 
 
 def test_max_solvable_with_cyclic_complement(alt7, m11):
