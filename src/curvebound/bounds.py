@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .classical import FamilySpec, family_order
+from .classical import FamilySpec, factor_prime_power, family_order
 
 F = Fraction
 
@@ -178,12 +178,14 @@ def _integer_kth_root(n: int, k: int) -> int:
         raise ValueError("negative radicand")
     if n in (0, 1) or k == 1:
         return n
-    x = int(round(n ** (1.0 / k))) + 1
-    while x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    # integer Newton from 2^ceil(bits/k) > n^(1/k): the iterates fall
+    # strictly until they reach the floor root
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _poly_eval(coeffs, x) -> Fraction:
@@ -303,25 +305,12 @@ def _min_even_genus(order_bound: int) -> int:
     return g
 
 
-def _prime_powers(limit: int, residue=None, modulus=None, minimum=2):
-    out = []
-    for q in range(minimum, limit + 1):
-        n, d, base = q, 2, None
-        while d * d <= n:
-            if n % d == 0:
-                while n % d == 0:
-                    n //= d
-                base = d if n == 1 else None
-                break
-            d += 1
-        else:
-            base = q
-        if base is None:
-            continue
-        if modulus is not None and q % modulus != residue:
-            continue
-        out.append(q)
-    return out
+def _is_prime_power(q: int) -> bool:
+    try:
+        factor_prime_power(q)
+    except ValueError:
+        return False
+    return True
 
 
 # step checkers --------------------------------------------------------------
@@ -541,7 +530,7 @@ def _build_registry():
              (PowerBound(F(13352, 100), shift=1, num=7, den=4), PowerBound(F(266), num=7, den=4), 3, None)),
     )
 
-    psu_qs = tuple(_prime_powers(400, residue=1, modulus=4, minimum=5))
+    psu_qs = tuple(q for q in range(5, 401, 4) if _is_prime_power(q))
     add(
         "psu3",
         Step("psu.arith_order5", "arith", "|PSU(3,5)|", (family_order(FamilySpec("PSU3", 5)), 126000)),
@@ -579,7 +568,7 @@ def _build_registry():
              note="1750.24(g-1)^(17/10) < 766(g-1)^(7/4) for g >= 15378928"),
     )
 
-    psl3_qs = tuple(_prime_powers(400, residue=3, modulus=4, minimum=3))
+    psl3_qs = tuple(q for q in range(3, 401, 4) if _is_prime_power(q))
     add(
         "psl3",
         Step("psl3.arith_order3", "arith", "|PSL(3,3)|", (family_order(FamilySpec("PSL3", 3)), 5616)),

@@ -275,12 +275,13 @@ def cmd_prank(curve: str, p: int, oracle: bool = False) -> Report:
         report.add("cartier operator", "unsupported", reason=str(exc))
     if oracle:
         try:
-            zeta_rank = prank.zeta_prank_oracle(model)
+            l_poly = prank.zeta_l_polynomial(model)
+            zeta_rank = prank.l_polynomial_p_rank(l_poly, p)
             agree = rank is not None and zeta_rank == rank
             report.add("zeta point-count oracle",
                        "agrees" if agree else ("holds" if rank is None else "fails"),
                        zeta_p_rank=zeta_rank,
-                       l_polynomial=list(prank.zeta_l_polynomial(model)))
+                       l_polynomial=list(l_poly))
         except prank.UnsupportedModelError as exc:
             report.add("zeta point-count oracle", "unsupported", reason=str(exc))
     verdicts = {row["verdict"] for row in report.rows}

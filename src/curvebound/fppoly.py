@@ -1,13 +1,16 @@
-"""Polynomials over prime fields and small extension towers.
+"""Polynomials over prime fields and log tables of their extensions.
 
 Polynomials are coefficient tuples over GF(p), constant term first, with a
 nonzero leading coefficient (the zero polynomial is the empty tuple).
-Extension fields GF(p^k) are realized as quotients by the lexicographically
-first monic irreducible of degree k, so towers are deterministic.
+Factoring is reduced to what the curve code reads, the squarefree
+decomposition.  A field GF(p^k) is given by its log and Zech tables over a
+deterministic primitive modulus, so the arithmetic behind point counts is
+table lookups and integer additions.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from itertools import product
 
@@ -177,6 +180,9 @@ class FpPoly:
             raise ValueError("scale factor must be a unit")
         return FpPoly(self.p, [c * pow(u, i, self.p) for i, c in enumerate(self.coeffs)])
 
+    def derivative(self):
+        return FpPoly(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
+
     def monic(self):
         if self.is_zero():
             return self
@@ -198,18 +204,6 @@ class FpPoly:
         return " + ".join(reversed(terms))
 
 
-@lru_cache(maxsize=None)
-def first_irreducible(p: int, degree: int) -> FpPoly:
-    """Lexicographically first monic irreducible of the given degree."""
-    if degree == 1:
-        return FpPoly.x(p)
-    for tail in product(range(p), repeat=degree):
-        poly = FpPoly(p, list(tail) + [1])
-        if _is_irreducible(poly):
-            return poly
-    raise RuntimeError("no irreducible found")  # impossible
-
-
 def _prime_divisors(n: int):
     out = []
     d = 2
@@ -224,123 +218,76 @@ def _prime_divisors(n: int):
     return out
 
 
-def _is_irreducible(poly: FpPoly) -> bool:
-    """Rabin test: x^(p^d) = x mod poly and gcd(x^(p^(d/r)) - x, poly) = 1."""
-    p = poly.p
-    d = poly.degree
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    x = FpPoly.x(p)
-    for r in _prime_divisors(d):
-        power = x
-        for _ in range(d // r):
-            power = _pow_p(power, p, poly)
-        if not (power - x).gcd(poly).coeffs == (1,):
-            return False
-    power = x
-    for _ in range(d):
-        power = _pow_p(power, p, poly)
-    return ((power - x) % poly).is_zero()
-
-
-def _pow_p(poly: FpPoly, p: int, modulus: FpPoly) -> FpPoly:
+def _pow_mod(poly: FpPoly, e: int, modulus: FpPoly) -> FpPoly:
     result = FpPoly.constant(poly.p, 1)
     square = poly
-    k = p
-    while k:
-        if k & 1:
+    while e:
+        if e & 1:
             result = (result * square) % modulus
         square = (square * square) % modulus
-        k >>= 1
+        e >>= 1
     return result
 
 
 @lru_cache(maxsize=4096)
-def factor_multiplicities(f: FpPoly):
-    """(irreducible, multiplicity) pairs by trial division, smallest degree first.
+def squarefree_decomposition(f: FpPoly):
+    """((a, i), ...) with each a monic, squarefree and non-constant, the parts
+    pairwise coprime, sorted by i, and monic f = prod a^i.
 
-    Dividing by monic candidates in degree order needs no irreducibility
-    test: a composite divisor would have had its own factors stripped first.
+    Yun's gcd loop splits off the parts whose multiplicity is prime to p; what
+    is left is a p-th power, whose root (every p-th coefficient, since
+    Frobenius fixes GF(p)) is decomposed with multiplicities scaled by p.
     """
     if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
+        raise ValueError("cannot decompose the zero polynomial")
     p = f.p
-    remaining = f.monic()
     out = []
-    d = 1
-    while remaining.degree > 0:
-        if 2 * d > remaining.degree:
-            out.append((remaining, 1))
-            break
-        for tail in product(range(p), repeat=d):
-            candidate = FpPoly(p, list(tail) + [1])
-            mult = 0
-            while True:
-                quot, rem = remaining.divmod(candidate)
-                if rem.is_zero():
-                    remaining = quot
-                    mult += 1
-                else:
-                    break
-            if mult:
-                out.append((candidate, mult))
-            if remaining.degree < 2 * d:
-                break
-        d += 1
-    return tuple(out)
+    c = f.gcd(f.derivative())
+    w = f.monic() // c
+    i = 1
+    while w.degree > 0:
+        y = w.gcd(c)
+        if w.degree > y.degree:
+            out.append((w // y, i))
+        w, c, i = y, c // y, i + 1
+    if c.degree > 0:
+        root = FpPoly(p, c.coeffs[::p])
+        out.extend((a, mult * p) for a, mult in squarefree_decomposition(root))
+    return tuple(sorted(out, key=lambda part: part[1]))
 
 
-class ExtField:
-    """GF(p^k) as GF(p)[x] modulo a deterministic irreducible.
+@lru_cache(maxsize=None)
+def field_tables(p: int, k: int):
+    """(log, zech) for GF(p^k), as arrays of 4-byte ints.
 
-    Elements are coefficient tuples of length k.
+    An element is the integer whose base-p digits are its coefficients, so GF(p)
+    is 0..p-1.  The modulus is the first monic degree-k polynomial, constant term
+    varying fastest, modulo which x has order n = p^k - 1; no reducible one
+    passes, as its unit group is smaller.  log[a] is the log of a to base x,
+    log[0] = -1, and zech[i] = log(1 + x^i), -1 where 1 + x^i = 0.
     """
-
-    def __init__(self, p: int, k: int):
-        if k < 1:
-            raise ValueError("extension degree must be positive")
-        self.p = p
-        self.k = k
-        self.modulus = first_irreducible(p, k)
-        self.size = p**k
-
-    def zero(self):
-        return (0,) * self.k
-
-    def one(self):
-        return (1,) + (0,) * (self.k - 1)
-
-    def embed(self, a: int):
-        return (a % self.p,) + (0,) * (self.k - 1)
-
-    def elements(self):
-        for tup in product(range(self.p), repeat=self.k):
-            yield tup
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        out = [0] * (2 * self.k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        rem = FpPoly(self.p, out) % self.modulus
-        c = list(rem.coeffs) + [0] * (self.k - len(rem.coeffs))
-        return tuple(c)
-
-    def pow(self, a, n: int):
-        result = self.one()
-        square = a
-        while n:
-            if n & 1:
-                result = self.mul(result, square)
-            square = self.mul(square, square)
-            n >>= 1
-        return result
-
-    def is_zero(self, a):
-        return all(c == 0 for c in a)
+    if k < 1:
+        raise ValueError("extension degree must be positive")
+    n = p**k - 1
+    x = FpPoly.x(p)
+    cofactors = [n // r for r in _prime_divisors(n)]
+    for tail in product(range(p), repeat=k):
+        modulus = FpPoly(p, tail[::-1] + (1,))
+        if _pow_mod(x, n, modulus).coeffs == (1,) and all(
+            _pow_mod(x, e, modulus).coeffs != (1,) for e in cofactors
+        ):
+            break
+    reduction = [(-c) % p for c in modulus.coeffs[:k]]
+    weights = [p**j for j in range(k)]
+    log = array("i", [-1]) * (n + 1)
+    digits = [1] + [0] * (k - 1)
+    for i in range(n):
+        log[sum(c * w for c, w in zip(digits, weights))] = i
+        top = digits[-1]
+        digits = [(c + top * r) % p for c, r in zip([0] + digits[:-1], reduction)]
+    zech = array("i", [-1]) * n
+    for a in range(1, n + 1):
+        b = a + 1 if a % p != p - 1 else a + 1 - p
+        if b:
+            zech[log[a]] = log[b]
+    return log, zech

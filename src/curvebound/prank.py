@@ -10,9 +10,9 @@ exact; agreement between them is part of the test contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
-from .fppoly import ExtField, FpPoly, _is_prime, factor_multiplicities
+from .fppoly import FpPoly, _is_prime, field_tables, squarefree_decomposition
 from .ramification import kummer_genus
 
 ZETA_GENUS_CAP = 3
@@ -45,7 +45,7 @@ class CurveModel:
             raise UnsupportedModelError("cover degree must be >= 2 and prime to p")
         if self.f.is_zero() or self.f.degree < 1:
             raise UnsupportedModelError("right-hand side must be non-constant")
-        mults = [mult for _, mult in factor_multiplicities(self.f)]
+        mults = [mult for _, mult in squarefree_decomposition(self.f)]
         for d in range(2, self.m + 1):
             if self.m % d == 0 and _is_prime(d) and all(mu % d == 0 for mu in mults):
                 raise UnsupportedModelError("cover splits: an m-th root of f exists up to scalars")
@@ -70,7 +70,7 @@ def normalization_genus(model: CurveModel) -> int:
     """Genus of the smooth model, by the tame cover formula; the quantity the
     point-count oracle sees."""
     exponents = []
-    for poly, mult in factor_multiplicities(model.f):
+    for poly, mult in squarefree_decomposition(model.f):
         exponents.extend([mult] * poly.degree)
     return kummer_genus(model.m, exponents, model.p)
 
@@ -86,7 +86,7 @@ def differential_basis(model: CurveModel):
     deg = f.degree
     e_inf = m // gcd(m, deg)
     g = normalization_genus(model)
-    branch = [(poly, mult) for poly, mult in factor_multiplicities(model.f)]
+    branch = squarefree_decomposition(model.f)
     basis = []
     for b in range(1, m):
         for a in range(1, deg + 1):
@@ -230,44 +230,40 @@ def count_points(model: CurveModel, r: int) -> int:
     q = p**r
     if q > ZETA_POINT_CAP:
         raise UnsupportedModelError(f"field size {q} exceeds the point-count cap")
-    field = ExtField(p, r)
+    log, zech = field_tables(p, r)
+    n = q - 1
+    # Hasse derivatives D^k f, whose values at x0 are the Taylor coefficients
+    # of f(x0 + t), with coefficients as logs
+    derivatives = [[log[comb(j, k) * c % p] for j, c in enumerate(f.coeffs) if j >= k]
+                   for k in range(f.degree + 1)]
     total = 0
-    for x0 in field.elements():
-        total += _places_over(model, field, x0)
-    d_inf = gcd(m, f.degree)
-    dd = gcd(d_inf, q - 1)
-    total += dd if pow(f.leading(), (q - 1) // dd, p) == 1 else 0
+    # x0 runs over the logs, -1 (zero) first; streamed, since q may be near the cap
+    for x0 in range(-1, n):
+        # the multiplicity lam of x0 as a root, and the unit part u of f there
+        for lam, coeffs in enumerate(derivatives):
+            u = _evaluate_log(coeffs, x0, zech, n)
+            if u >= 0:
+                break
+        d = gcd(gcd(m, lam), n)
+        if u % d == 0:
+            total += d
+    dd = gcd(gcd(m, f.degree), n)
+    total += dd if log[f.leading()] % dd == 0 else 0
     return total
 
 
-def _horner_divide(field, coeffs, x0):
-    """Quotient and remainder of sum(coeffs[i] x^i) by (x - x0)."""
-    out = []
-    acc = field.zero()
+def _evaluate_log(coeffs, x0, zech, n):
+    """Horner evaluation with Zech addition; elements are logs, -1 for zero."""
+    acc = -1
     for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x0), c)
-        out.append(acc)
-    remainder = out.pop()
-    out.reverse()
-    return out, remainder
-
-
-def _places_over(model, field, x0):
-    m = model.m
-    q = field.size
-    coeffs = [field.embed(c) for c in model.f.coeffs]
-    lam = 0
-    while True:
-        quotient, remainder = _horner_divide(field, coeffs, x0)
-        if field.is_zero(remainder):
-            coeffs = quotient
-            lam += 1
-        else:
-            break
-    # remainder is the value at x0 of f/(x-x0)^lam: f(x0) itself when lam = 0,
-    # the unit part at a root otherwise
-    d = gcd(m, q - 1) if lam == 0 else gcd(gcd(m, lam), q - 1)
-    return d if field.pow(remainder, (q - 1) // d) == field.one() else 0
+        if acc >= 0:
+            acc = -1 if x0 < 0 else (acc + x0) % n
+        if acc < 0:
+            acc = c
+        elif c >= 0:
+            z = zech[(c - acc) % n]
+            acc = -1 if z < 0 else (acc + z) % n
+    return acc
 
 
 def zeta_l_polynomial(model: CurveModel):
@@ -328,12 +324,12 @@ def _predicted_count(l_coeffs, p: int, r: int) -> int:
 
 def zeta_prank_oracle(model: CurveModel) -> int:
     """p-rank as the degree of the zeta numerator reduced mod p."""
-    coeffs = zeta_l_polynomial(model)
-    degree = 0
-    for k, c in enumerate(coeffs):
-        if c % model.p != 0:
-            degree = k
-    return degree
+    return l_polynomial_p_rank(zeta_l_polynomial(model), model.p)
+
+
+def l_polynomial_p_rank(coeffs, p: int) -> int:
+    """Degree of the zeta numerator ``coeffs`` reduced mod p."""
+    return max((k for k, c in enumerate(coeffs) if c % p != 0), default=0)
 
 
 # -- curve-expression parsing --------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from curvebound import bounds, permgroup
 from curvebound.classical import sporadic_facts
-from curvebound.fppoly import FpPoly, factor_multiplicities
+from curvebound.fppoly import FpPoly, squarefree_decomposition
 from curvebound.prank import CurveModel, p_rank, parse_curve, zeta_prank_oracle
 from curvebound.ramification import (
     RamSignature,
@@ -167,7 +167,7 @@ def test_criterion_6_prank_reproduction():
             while done < 25:
                 coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
                 f = FpPoly(p, coeffs)
-                if f.degree != degree or any(mult > 1 for _, mult in factor_multiplicities(f)):
+                if f.degree != degree or any(mult > 1 for _, mult in squarefree_decomposition(f)):
                     continue
                 m = CurveModel(2, f, p)
                 assert p_rank(m) == zeta_prank_oracle(m)

@@ -201,6 +201,21 @@ def test_poly_positive():
     assert poly_positive_from((5, -1), 1).verdict == "fails"  # negative leading coefficient
 
 
+def test_poly_positive_beyond_float_range():
+    # the root bound needs a square root of 10^400, past the largest float
+    report = poly_positive_from([-(10**400), 0, 1], 0)
+    assert (report.verdict, report.witness) == ("fails", 0)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_integer_kth_root_is_the_floor_root(k):
+    radicands = list(range(300)) + [10**e + d for e in range(1, 401, 7) for d in (-1, 0, 1)]
+    radicands += [x**k + d for x in (2**64, 3**200, 10**57) for d in (-1, 0, 1)]
+    for n in radicands:
+        x = bounds._integer_kth_root(n, k)
+        assert x**k <= n < (x + 1) ** k, (n, k)
+
+
 def test_classify_named_pairs():
     assert classify(7920, 26) == {"nakajima", "main-7/4"}
     assert "hurwitz" not in classify(2520, 10)

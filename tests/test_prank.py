@@ -1,9 +1,11 @@
 import random
+from math import gcd
 
 import pytest
 
-from curvebound.fppoly import ExtField, FpPoly, factor_multiplicities, first_irreducible
+from curvebound.fppoly import FpPoly, field_tables, squarefree_decomposition
 from curvebound.prank import (
+    ZETA_POINT_CAP,
     CurveModel,
     UnsupportedModelError,
     cartier_matrix,
@@ -44,35 +46,69 @@ def test_fppoly_power_routes_agree():
     assert (f5**2).coeffs == f5.pow_foldl(2).coeffs
 
 
-def test_factor_multiplicities():
+def test_squarefree_decomposition():
     p = 5
     f = FpPoly(p, (0, 1)) * FpPoly(p, (-1, 1)) ** 2 * FpPoly(p, (-2, 1)) ** 2
-    factors = {(poly.coeffs, mult) for poly, mult in factor_multiplicities(f)}
-    assert factors == {((0, 1), 1), ((4, 1), 2), ((3, 1), 2)}
+    parts = {(poly.coeffs, mult) for poly, mult in squarefree_decomposition(f)}
+    assert parts == {((0, 1), 1), ((2, 2, 1), 2)}  # (x-1)(x-2) = x^2 + 2x + 2
     frobenius = FpPoly(5, (-1, 0, 0, 0, 0, 1))  # x^5 - 1 = (x-1)^5
-    assert [(poly.coeffs, mult) for poly, mult in factor_multiplicities(frobenius)] == [((4, 1), 5)]
+    assert [(poly.coeffs, mult) for poly, mult in squarefree_decomposition(frobenius)] == [((4, 1), 5)]
 
 
-def test_first_irreducible_deterministic():
-    assert first_irreducible(3, 1).coeffs == (0, 1)
-    mod2 = first_irreducible(3, 2)
-    assert mod2.degree == 2
-    assert all(mod2.evaluate(a) != 0 for a in range(3))
-    assert first_irreducible(3, 2) == first_irreducible(3, 2)
-    mod3 = first_irreducible(5, 3)
-    assert mod3.degree == 3
-    assert all(mod3.evaluate(a) != 0 for a in range(5))
+def test_squarefree_decomposition_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+    for _ in range(120):
+        p = rng.choice((3, 5, 7))
+        # products of random factors, some raised to powers that p divides
+        f = FpPoly(p, (rng.randrange(1, p),))
+        for _ in range(rng.randrange(1, 5)):
+            factor = FpPoly(p, [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1])
+            f = f * factor ** rng.choice((1, 1, 2, 3, p, p + 1))
+        expected = set()
+        for poly, mult in sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).sqf_list()[1]:
+            monic = FpPoly(p, [int(c) for c in reversed(poly.all_coeffs())]).monic()
+            expected.add((monic.coeffs, mult))
+        parts = squarefree_decomposition(f)
+        assert {(poly.coeffs, mult) for poly, mult in parts} == expected, f
+        assert [mult for _, mult in parts] == sorted(mult for _, mult in parts)
+        product = FpPoly(p, (1,))
+        for poly, mult in parts:
+            product = product * poly**mult
+        assert product == f.monic()
 
 
-def test_ext_field_is_a_field():
-    field = ExtField(3, 2)
-    elements = list(field.elements())
-    assert len(elements) == 9
-    nonzero = [e for e in elements if not field.is_zero(e)]
-    for a in nonzero:
-        assert field.pow(a, 8) == field.one()  # Lagrange in the unit group
-    orders = {min(k for k in range(1, 9) if field.pow(a, k) == field.one()) for a in nonzero}
-    assert max(orders) == 8  # cyclic unit group has a generator
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 3), (7, 4)])
+def test_field_tables_describe_the_field(p, k):
+    log, zech = field_tables(p, k)
+    q = p**k
+    assert sorted(log[1:]) == list(range(q - 1))  # a bijection onto 0..q-2
+    antilog = [0] * (q - 1)
+    for a in range(1, q):
+        antilog[log[a]] = a
+
+    def add(a, b):  # digitwise, the encoding's addition
+        return sum((a // p**j + b // p**j) % p * p**j for j in range(k))
+
+    for i in range(q - 1):
+        one_plus = add(1, antilog[i])
+        assert zech[i] == (log[one_plus] if one_plus else -1)
+    # multiplication by x (log + 1) is additive on the encoding, so products
+    # taken through the logs distribute over the digitwise sum
+    rng = random.Random(p * k)
+    elements = range(1, q)
+    pairs = [(a, b) for a in elements for b in elements] if q <= 125 else [
+        (rng.randrange(1, q), rng.randrange(1, q)) for _ in range(5000)
+    ]
+    times_x = [0] + [antilog[(log[a] + 1) % (q - 1)] for a in elements]
+    for a, b in pairs:
+        assert times_x[add(a, b)] == add(times_x[a], times_x[b])
+    # GF(p) is 0..p-1: its products through the logs are the integers mod p
+    for a in range(1, p):
+        for b in range(1, p):
+            assert antilog[(log[a] + log[b]) % (q - 1)] == a * b % p
+    assert field_tables(p, k) is field_tables(p, k)
 
 
 # -- models and genus -----------------------------------------------------------
@@ -87,6 +123,14 @@ def test_genus_of_models():
     deg = model("y^2 = x^5 - 1", 5)
     assert genus_of_model(deg) == 2
     assert normalization_genus(deg) == 0
+
+
+def test_degree_13_model_over_gf11():
+    # trial-division factoring needed about half a minute for this model
+    f = "4*x^13 + 10*x^12 + 4*x^11 + 6*x^10 + 5*x^9 + 2*x^8 + 9*x^7 + 8*x^5 + 6*x^4 + 7*x^3 + 2*x^2 + 5"
+    m = model("y^2 = " + f, 11)
+    assert genus_of_model(m) == normalization_genus(m) == 6
+    assert p_rank(m) == 6
 
 
 def test_model_validation():
@@ -183,6 +227,35 @@ def test_point_counts_hand_checked():
     assert count_points(deg, 1) == 6  # the smooth model is rational
 
 
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (5, 3), (7, 2), (7, 3), (7, 4), (11, 3), (11, 5)])
+def test_point_counts_against_brute_force(p, m):
+    # squarefree f with gcd(m, deg f) = 1: the affine curve is smooth and one
+    # rational place lies over infinity
+    rng = random.Random(1000 * p + m)
+    samples = 0
+    while samples < 6:
+        degree = rng.randrange(3, 8)
+        coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+        f = FpPoly(p, coeffs)
+        if gcd(m, degree) != 1 or any(mult > 1 for _, mult in squarefree_decomposition(f)):
+            continue
+        mth_powers = [pow(y, m, p) for y in range(p)]
+        affine = sum(mth_powers.count(f.evaluate(x)) for x in range(p))
+        assert count_points(CurveModel(m, f, p), 1) == 1 + affine, f
+        samples += 1
+
+
+def test_point_count_cap_refused_before_tables():
+    m = model("y^2 = x^5 - x", 3)
+    r = 1
+    while 3**r <= ZETA_POINT_CAP:
+        r += 1
+    before = field_tables.cache_info()
+    with pytest.raises(UnsupportedModelError):
+        count_points(m, r)
+    assert field_tables.cache_info() == before
+
+
 def test_zeta_l_polynomials():
     assert zeta_l_polynomial(model("y^2 = x^5 - x", 3)) == (1, 0, -2, 0, 9)
     assert zeta_l_polynomial(model("y^2 = x^5 - 1", 5)) == (1,)
@@ -213,7 +286,7 @@ def test_cartier_agrees_with_zeta_on_random_squarefree(p, degrees):
         while samples < 25:
             coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
             f = FpPoly(p, coeffs)
-            if f.degree != degree or any(mult > 1 for _, mult in factor_multiplicities(f)):
+            if f.degree != degree or any(mult > 1 for _, mult in squarefree_decomposition(f)):
                 continue
             m = CurveModel(2, f, p)
             assert p_rank(m) == zeta_prank_oracle(m), f.coeffs
@@ -237,7 +310,7 @@ def test_substitution_invariance():
         while count < 8:
             coeffs = [rng.randrange(p) for _ in range(5)] + [rng.randrange(1, p)]
             f = FpPoly(p, coeffs)
-            if any(mult > 1 for _, mult in factor_multiplicities(f)):
+            if any(mult > 1 for _, mult in squarefree_decomposition(f)):
                 continue
             base = p_rank(CurveModel(2, f, p))
             for c in range(1, p):
