@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .classical import FamilySpec, factor_prime_power, family_order
+from .classical import FamilySpec, family_order
+from .fppoly import factorize
 
 F = Fraction
 
@@ -305,14 +306,6 @@ def _min_even_genus(order_bound: int) -> int:
     return g
 
 
-def _is_prime_power(q: int) -> bool:
-    try:
-        factor_prime_power(q)
-    except ValueError:
-        return False
-    return True
-
-
 # step checkers --------------------------------------------------------------
 
 
@@ -530,7 +523,7 @@ def _build_registry():
              (PowerBound(F(13352, 100), shift=1, num=7, den=4), PowerBound(F(266), num=7, den=4), 3, None)),
     )
 
-    psu_qs = tuple(q for q in range(5, 401, 4) if _is_prime_power(q))
+    psu_qs = tuple(q for q in range(5, 401, 4) if len(factorize(q)) == 1)
     add(
         "psu3",
         Step("psu.arith_order5", "arith", "|PSU(3,5)|", (family_order(FamilySpec("PSU3", 5)), 126000)),
@@ -568,7 +561,7 @@ def _build_registry():
              note="1750.24(g-1)^(17/10) < 766(g-1)^(7/4) for g >= 15378928"),
     )
 
-    psl3_qs = tuple(q for q in range(3, 401, 4) if _is_prime_power(q))
+    psl3_qs = tuple(q for q in range(3, 401, 4) if len(factorize(q)) == 1)
     add(
         "psl3",
         Step("psl3.arith_order3", "arith", "|PSL(3,3)|", (family_order(FamilySpec("PSL3", 3)), 5616)),

@@ -13,6 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import permgroup
+from .fppoly import factorize
 from .permgroup import PermGroup
 
 FAMILIES = ("PSL2", "PGL2", "PSL3", "PGL3", "PSU3", "PGU3", "ALT7", "M11")
@@ -21,21 +22,10 @@ SPORADIC_WILD_PRIMES = {"ALT7": (3, 5, 7), "M11": (3, 5, 11)}
 
 def factor_prime_power(q: int):
     """(d, k) with q = d^k and d prime; raises if q is not a prime power."""
-    if q < 2:
+    factors = factorize(q)
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    d = 2
-    n = q
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            if n != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return d, k
-        d += 1
-    return n, 1
+    return factors[0]
 
 
 def field_aut_divisors(q: int):

@@ -22,8 +22,11 @@ from . import bounds, classical, permgroup, prank, ramification
 
 SCHEMA_VERSION = "1"
 
-SPORADIC_CHARS = {"alt7": (3, 5, 7), "m11": (3, 5, 11)}
 EXPECTED_ORDERS = {"alt7": 2520, "m11": 7920}
+
+
+class UsageError(Exception):
+    """A request the command cannot run; ``main`` reports it and exits 2."""
 
 
 @dataclass
@@ -107,11 +110,12 @@ def _digest(*parts: str) -> str:
 
 
 def cmd_enumerate(group: str, char: int, fmt: str = "json") -> Report:
-    if group not in SPORADIC_CHARS:
-        raise SystemExit(f"error: unknown group {group!r} (choose alt7 or m11)")
-    if char not in SPORADIC_CHARS[group]:
-        raise SystemExit(f"error: characteristic {char} not supported for {group} "
-                         f"(choose from {SPORADIC_CHARS[group]})")
+    if group not in EXPECTED_ORDERS:
+        raise UsageError(f"unknown group {group!r} (choose alt7 or m11)")
+    wild = classical.SPORADIC_WILD_PRIMES[group.upper()]
+    if char not in wild:
+        raise UsageError(f"characteristic {char} not supported for {group} "
+                         f"(the characteristic must be an odd prime from {wild})")
     facts = classical.sporadic_facts(group.upper(), char)
     candidates = ramification.enumerate_case_iii(facts)
     coefficient = ramification.case_i_ii_coefficient(facts)
@@ -153,16 +157,16 @@ def cmd_enumerate(group: str, char: int, fmt: str = "json") -> Report:
 
 def cmd_group_audit(name: str, data_dir=None) -> Report:
     if name not in EXPECTED_ORDERS:
-        raise SystemExit(f"error: unknown group {name!r} (choose alt7 or m11)")
+        raise UsageError(f"unknown group {name!r} (choose alt7 or m11)")
     path = permgroup.generator_file_path(name, data_dir)
     try:
         with open(path, encoding="ascii") as handle:
             text = handle.read()
     except OSError as exc:
-        raise SystemExit(f"error: cannot read generator file: {exc}")
+        raise UsageError(f"cannot read generator file: {exc}")
     gens, degree = permgroup.parse_generator_file(text)
     if not gens:
-        raise SystemExit(f"error: no generators in {path}")
+        raise UsageError(f"no generators in {path}")
     group = permgroup.PermGroup(gens, degree)
     report = Report(command=["group-audit", name], input_digest=_digest(name, text))
     checks = []
@@ -173,7 +177,7 @@ def cmd_group_audit(name: str, data_dir=None) -> Report:
     expected_orders = {"alt7": [1, 2, 3, 4, 5, 6, 7], "m11": [1, 2, 3, 4, 5, 6, 8, 11]}[name]
     checks.append(("element order set", sorted(group.element_order_set()), expected_orders))
 
-    wild = SPORADIC_CHARS[name]
+    wild = classical.SPORADIC_WILD_PRIMES[name.upper()]
     syl_expect = {"alt7": {3: (9, 36), 5: (5, 20), 7: (7, 21)},
                   "m11": {3: (9, 144), 5: (5, 20), 11: (11, 55)}}[name]
     for p in wild:
@@ -213,7 +217,7 @@ def cmd_group_audit(name: str, data_dir=None) -> Report:
 def cmd_bounds(chain: str, order: int | None = None, genus: int | None = None) -> Report:
     if order is not None or genus is not None:
         if order is None or genus is None:
-            raise SystemExit("error: classification needs both --order and --genus")
+            raise UsageError("classification needs both --order and --genus")
         labels = bounds.classify(order, genus)
         report = Report(command=["bounds", chain, "--order", str(order), "--genus", str(genus)],
                         input_digest=_digest(chain, str(order), str(genus)))
@@ -226,7 +230,7 @@ def cmd_bounds(chain: str, order: int | None = None, genus: int | None = None) -
     try:
         audits = {cid: bounds.audit_chain(cid) for cid in ids}
     except KeyError:
-        raise SystemExit(f"error: unknown chain {chain!r} (choose from {', '.join(bounds.chain_ids())} or all)")
+        raise UsageError(f"unknown chain {chain!r} (choose from {', '.join(bounds.chain_ids())} or all)")
     report = Report(command=["bounds", chain], input_digest=_digest(chain))
     all_ok = True
     for cid in ids:
@@ -254,7 +258,7 @@ def cmd_prank(curve: str, p: int, oracle: bool = False) -> Report:
     try:
         model = prank.parse_curve(curve, p)
     except (ValueError, prank.UnsupportedModelError) as exc:
-        raise SystemExit(f"error: {exc}")
+        raise UsageError(str(exc))
     report = Report(command=["prank", "--p", str(p), "--curve", curve]
                     + (["--oracle"] if oracle else []),
                     input_digest=_digest(curve, str(p)))
@@ -305,7 +309,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     en = sub.add_parser("enumerate", help="two-branch-point signature enumeration for alt7/m11")
-    en.add_argument("--group", required=True, choices=sorted(SPORADIC_CHARS))
+    en.add_argument("--group", required=True, choices=sorted(EXPECTED_ORDERS))
     en.add_argument("--char", required=True, type=int)
     en.add_argument("--format", default="text", choices=("json", "csv", "text"))
 
@@ -329,17 +333,18 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.subcommand == "enumerate":
-        if args.char == 2 or args.char % 2 == 0:
-            print("error: the characteristic must be an odd prime", file=sys.stderr)
-            return 2
-        report = cmd_enumerate(args.group, args.char)
-    elif args.subcommand == "group-audit":
-        report = cmd_group_audit(args.name)
-    elif args.subcommand == "bounds":
-        report = cmd_bounds(args.chain, args.order, args.genus)
-    else:
-        report = cmd_prank(args.curve, args.p, args.oracle)
+    try:
+        if args.subcommand == "enumerate":
+            report = cmd_enumerate(args.group, args.char)
+        elif args.subcommand == "group-audit":
+            report = cmd_group_audit(args.name)
+        elif args.subcommand == "bounds":
+            report = cmd_bounds(args.chain, args.order, args.genus)
+        else:
+            report = cmd_prank(args.curve, args.p, args.oracle)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(report.emit(args.format))
     return 0 if report.ok() else 1
 

@@ -15,15 +15,25 @@ from functools import lru_cache
 from itertools import product
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def factorize(n: int):
+    """((prime, exponent), ...) for n by trial division, primes ascending; () for n < 2."""
+    out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            out.append((d, k))
         d += 1
-    return True
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def _is_prime(n: int) -> bool:
+    return factorize(n) == ((n, 1),)
 
 
 class FpPoly:
@@ -204,20 +214,6 @@ class FpPoly:
         return " + ".join(reversed(terms))
 
 
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _pow_mod(poly: FpPoly, e: int, modulus: FpPoly) -> FpPoly:
     result = FpPoly.constant(poly.p, 1)
     square = poly
@@ -270,7 +266,7 @@ def field_tables(p: int, k: int):
         raise ValueError("extension degree must be positive")
     n = p**k - 1
     x = FpPoly.x(p)
-    cofactors = [n // r for r in _prime_divisors(n)]
+    cofactors = [n // r for r, _ in factorize(n)]
     for tail in product(range(p), repeat=k):
         modulus = FpPoly(p, tail[::-1] + (1,))
         if _pow_mod(x, n, modulus).coeffs == (1,) and all(

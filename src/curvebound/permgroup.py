@@ -1,16 +1,21 @@
-"""Exact permutation-group engine: base and strong generating set certificates.
+"""Exact permutation-group engine: stabilizer chains grown by Schreier's lemma.
 
-The certificate is built with a deterministic (non-randomized) Schreier-Sims
-pass: a scan over all Schreier generators runs until every one of them sifts
-to the identity, which is exactly the textbook criterion for the stabilizer
-chain to be correct.  Order, membership, Sylow subgroups and solvability are
-derived from the chain; point stabilizers, normalizers and subgroup class
-sizes come from one orbit-stabilizer routine.  No group fact is ever read
-from a table.
+Every group is one level of its own stabilizer chain: a base point, the
+transversal of its orbit, and the point's stabilizer as a group again.  One
+orbit routine serves the whole engine.  It runs a BFS over the generators
+and returns the transversal and the Schreier generators of the stabilizer.
+Adding a generator reruns it on the base point and passes each Schreier
+generator that is not yet a member down to the stabilizer, so every level
+generates exactly the stabilizer of its base point.  Point stabilizers,
+normalizers (stabilizers of an element set under conjugation) and subgroup
+class sizes (orbit lengths) come from the same routine.  Order, membership,
+Sylow subgroups and solvability are derived from the chain.  No group fact
+is ever read from a table.
 
 Groups are immutable once constructed and every operation is pure, so shared
-instances are safe under concurrent use.  All scans run in sorted element
-order, which makes every output bit-identical across runs.
+instances are safe under concurrent use.  Generators are added in sorted
+order and Schreier generators are taken sorted, which makes every output
+bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -27,36 +32,13 @@ class SizeCapExceededError(ValueError):
     """The operation refuses to run above its documented size cap."""
 
 
-class _Level:
-    """One stabilizer-chain level: a base point, its orbit and transversal."""
-
-    __slots__ = ("point", "gens", "transversal")
-
-    def __init__(self, point):
-        self.point = point
-        self.gens = []
-        self.transversal = {}
-
-    def rebuild(self):
-        # BFS in sorted order; transversal[c] maps self.point to c.
-        ident = Permutation.identity(self.gens[0].degree) if self.gens else None
-        self.transversal = {self.point: ident}
-        frontier = [self.point]
-        while frontier:
-            frontier.sort()
-            new = []
-            for c in frontier:
-                t = self.transversal[c]
-                for g in self.gens:
-                    d = g(c)
-                    if d not in self.transversal:
-                        self.transversal[d] = t * g
-                        new.append(d)
-            frontier = new
-
-
 class PermGroup:
-    """A finite permutation group with a verified BSGS certificate."""
+    """A finite permutation group, stored as the top level of its stabilizer chain.
+
+    A nontrivial group keeps a base point, that point's transversal and the
+    point's stabilizer, itself a ``PermGroup``; the trivial group has no base
+    point and ends the chain.
+    """
 
     def __init__(self, generators, degree=None):
         generators = list(generators)
@@ -68,51 +50,69 @@ class PermGroup:
             if g.degree != degree:
                 raise DegreeMismatchError(f"generator degree {g.degree} != {degree}")
         self.degree = degree
-        self.generators = tuple(sorted(set(g for g in generators if not g.is_identity())))
-        self._levels = []
-        self._strong = []
+        self.generators = ()
+        self._base_point = None
+        self._transversal = {}
+        self._stabilizer = None
+        self._order = 1
         self._elements = None
         self._class_reps = None
-        self._build()
-        self._order = 1
-        for level in self._levels:
-            self._order *= len(level.transversal)
+        for g in sorted(set(generators)):
+            if g not in self:
+                self._add(g)
 
     # -- construction ------------------------------------------------------
 
-    def _build(self):
-        for g in self.generators:
-            self._insert(g)
-        while True:
-            residue = self._violating_schreier_residue()
-            if residue is None:
-                break
-            self._insert(residue)
+    def _add(self, g):
+        """Extend the group by g, a permutation outside it.
 
-    def _insert(self, g):
-        residue = self.sift(g)
-        if residue.is_identity():
-            return
-        if all(residue(level.point) == level.point for level in self._levels):
-            self._levels.append(_Level(residue.min_moved()))
-        self._strong.append(residue)
-        self._strong.sort()
-        prefix_fixed = []
-        for level in self._levels:
-            level.gens = [s for s in self._strong if all(s(p) == p for p in prefix_fixed)]
-            level.rebuild()
-            prefix_fixed.append(level.point)
+        Only for a group no caller holds yet, so that returned groups stay
+        immutable.  The orbit of the base point is recomputed under the new
+        generators, and every Schreier generator outside the stabilizer
+        extends the stabilizer in turn.
+        """
+        self.generators += (g,)
+        if self._stabilizer is None:
+            self._base_point = g.min_moved()
+            self._stabilizer = PermGroup([], self.degree)
+        self._transversal, schreier = self._orbit(self._base_point, lambda pt, h: h(pt))
+        for s in schreier:
+            if s not in self._stabilizer:
+                self._stabilizer._add(s)
+        self._order = len(self._transversal) * self._stabilizer._order
 
-    def _violating_schreier_residue(self):
-        for level in self._levels:
-            for c in sorted(level.transversal):
-                t = level.transversal[c]
-                for g in level.gens:
-                    u = level.transversal[g(c)]
-                    residue = self.sift(t * g * u.inverse())
-                    if not residue.is_identity():
-                        return residue
-        return None
+    def _orbit(self, x, act):
+        """Orbit of x under ``act(y, g)`` as a transversal, and the Schreier generators.
+
+        The orbit is found by BFS over the generators; ``transversal[y]``
+        carries x to y.  By Schreier's lemma the elements t_y g t_act(y,g)^-1
+        generate the stabilizer of x; they are returned deduplicated and
+        sorted, so every run builds the same chain.
+        """
+        transversal = {x: self.identity()}
+        frontier = [x]
+        schreier = set()
+        while frontier:
+            new = []
+            for y in frontier:
+                t = transversal[y]
+                for g in self.generators:
+                    z = act(y, g)
+                    u = transversal.get(z)
+                    if u is None:
+                        transversal[z] = t * g
+                        new.append(z)
+                    else:
+                        schreier.add(t * g * u.inverse())
+            frontier = new
+        return transversal, sorted(schreier)
+
+    def _chain(self):
+        """The levels of the stabilizer chain that have a base point, top first."""
+        level = self
+        while level._stabilizer is not None:
+            yield level
+            level = level._stabilizer
 
     # -- certificate queries -----------------------------------------------
 
@@ -121,19 +121,18 @@ class PermGroup:
 
     @property
     def base(self):
-        return tuple(level.point for level in self._levels)
+        return tuple(level._base_point for level in self._chain())
 
     @property
     def strong_generators(self):
-        return tuple(self._strong)
+        return tuple(sorted({s for level in self._chain() for s in level.generators}))
 
     def sift(self, g: Permutation) -> Permutation:
         """Strip g through the stabilizer chain; identity iff g is a member."""
         if g.degree != self.degree:
             raise DegreeMismatchError(f"degree {g.degree} != group degree {self.degree}")
-        for level in self._levels:
-            c = g(level.point)
-            t = level.transversal.get(c)
+        for level in self._chain():
+            t = level._transversal.get(g(level._base_point))
             if t is None:
                 return g
             g = g * t.inverse()
@@ -157,8 +156,8 @@ class PermGroup:
             if self._order > ELEMENT_SCAN_CAP:
                 raise SizeCapExceededError(f"order {self._order} exceeds {ELEMENT_SCAN_CAP}")
             elems = [self.identity()]
-            for level in reversed(self._levels):
-                elems = [h * t for h in elems for t in level.transversal.values()]
+            for level in reversed(list(self._chain())):
+                elems = [h * t for h in elems for t in level._transversal.values()]
             elems.sort()
             self._elements = tuple(elems)
         return self._elements
@@ -179,57 +178,27 @@ class PermGroup:
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         """Stabilizer of a point (0-based)."""
-        _, stabilizer = self._orbit_stabilizer(point, lambda pt, g: g(pt))
-        return stabilizer
-
-    def _orbit_stabilizer(self, x, act):
-        """Orbit of x under ``act(y, g)`` as a transversal, and its stabilizer.
-
-        The orbit is found by BFS over the generators; ``transversal[y]``
-        carries x to y.  By Schreier's lemma the elements t_y g t_act(y,g)^-1
-        generate the stabilizer.  They are deduplicated and sorted, and one is
-        kept only when it lies outside the group generated by those kept
-        before it, so every run builds the same chain from few generators.
-        """
-        transversal = {x: self.identity()}
-        frontier = [x]
-        schreier = set()
-        while frontier:
-            new = []
-            for y in frontier:
-                t = transversal[y]
-                for g in self.generators:
-                    z = act(y, g)
-                    u = transversal.get(z)
-                    if u is None:
-                        transversal[z] = t * g
-                        new.append(z)
-                    else:
-                        schreier.add(t * g * u.inverse())
-            frontier = new
-        gens = []
-        stabilizer = PermGroup(gens, self.degree)
-        for s in sorted(schreier):
-            if s not in stabilizer:
-                gens.append(s)
-                stabilizer = PermGroup(gens, self.degree)
-        return transversal, stabilizer
+        _, schreier = self._orbit(point, lambda pt, g: g(pt))
+        return PermGroup(schreier, self.degree)
 
     # -- derived structure ---------------------------------------------------
 
     def normal_closure(self, seed_gens) -> "PermGroup":
-        gens = sorted(set(seed_gens))
-        closure = PermGroup(gens, self.degree)
-        changed = True
-        while changed:
-            changed = False
-            for n in list(gens):
-                for g in self.generators:
-                    c = n.conjugate(g)
-                    if c not in closure:
-                        gens.append(c)
-                        closure = PermGroup(gens, self.degree)
-                        changed = True
+        """Smallest normal subgroup containing seed_gens.
+
+        Every conjugate of a generator of the closure by a generator of the
+        group that is not yet a member extends the closure; once none is
+        left, the group normalizes the closure.
+        """
+        closure = PermGroup(seed_gens, self.degree)
+        i = 0
+        while i < len(closure.generators):
+            n = closure.generators[i]
+            for g in self.generators:
+                c = n.conjugate(g)
+                if c not in closure:
+                    closure._add(c)
+            i += 1
         return closure
 
     def derived_subgroup(self) -> "PermGroup":
@@ -254,9 +223,8 @@ class PermGroup:
         return all(a * b == b * a for a in self.generators for b in self.generators)
 
     def is_elementary_abelian(self, p: int) -> bool:
-        if not self.is_abelian():
-            return False
-        return all(g.order() == p for g in self.elements() if not g.is_identity())
+        """Abelian and generated by elements of order p, so every element has order p or 1."""
+        return self.is_abelian() and all(g.order() == p for g in self.generators)
 
     def conjugacy_class_reps(self):
         """Minimal representative of each element conjugacy class, sorted."""
@@ -317,7 +285,7 @@ class PermGroup:
             normalizer = self.normalizer(current)
             for y in normalizer.elements():
                 k = y.order()
-                if k > 1 and _is_p_power(k, p) and y not in current:
+                if k > 1 and p_part % k == 0 and y not in current:
                     current = PermGroup(list(current.generators) + [y], self.degree)
                     break
             else:
@@ -326,8 +294,8 @@ class PermGroup:
 
     def normalizer(self, subgroup: "PermGroup") -> "PermGroup":
         """N_G(H): the stabilizer of H's element set under conjugation."""
-        _, stabilizer = self._conjugates_of(subgroup)
-        return stabilizer
+        _, schreier = self._conjugates_of(subgroup)
+        return PermGroup(schreier, self.degree)
 
     def conjugacy_class_size_of_subgroup(self, subgroup: "PermGroup") -> int:
         """Number of G-conjugates of H: the length of its conjugation orbit."""
@@ -340,52 +308,13 @@ class PermGroup:
         for h in subgroup.generators:
             if h not in self:
                 raise ValueError("not a subgroup: generator outside the group")
-        return self._orbit_stabilizer(
+        return self._orbit(
             frozenset(subgroup.elements()),
             lambda elements, g: frozenset(h.conjugate(g) for h in elements),
         )
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-# -- module-level operation surface ---------------------------------------
-
-
-def group_from_generators(gens, degree=None) -> PermGroup:
-    """Group generated by ``gens``; an empty list gives the trivial group."""
-    if not gens and degree is None:
-        raise ValueError("degree required for the trivial group")
-    return PermGroup(gens, degree)
-
-
-def order(group: PermGroup) -> int:
-    return group.order()
-
-
-def is_member(group: PermGroup, x: Permutation) -> bool:
-    return x in group
-
-
-def is_solvable(group: PermGroup) -> bool:
-    return group.is_solvable()
-
-
-def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
-    return group.sylow_subgroup(p)
-
-
-def normalizer(group: PermGroup, subgroup: PermGroup) -> PermGroup:
-    return group.normalizer(subgroup)
-
-
-def element_order_set(group: PermGroup):
-    if group.order() > ELEMENT_SCAN_CAP:
-        raise SizeCapExceededError(f"order {group.order()} exceeds {ELEMENT_SCAN_CAP}")
-    return group.element_order_set()
+# -- oracles and p-subgroups ----------------------------------------------
 
 
 def closure_elements(gens, degree=None):
@@ -406,9 +335,6 @@ def closure_elements(gens, degree=None):
                     nxt.append(y)
         frontier = nxt
     return seen
-
-
-# -- p-subgroups ------------------------------------------------------------
 
 
 def _subgroup_key(elements):

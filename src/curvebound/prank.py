@@ -162,10 +162,6 @@ def _mat_mul(a, b, p):
     )
 
 
-def _entrywise_power(mat, p):
-    return tuple(tuple(pow(x, p, p) for x in row) for row in mat)
-
-
 def _rank_mod_p(mat, p):
     rows = [list(r) for r in mat]
     n = len(rows)
@@ -188,21 +184,18 @@ def _rank_mod_p(mat, p):
     return rank
 
 
-def stable_rank(matrix: CartierMatrix, iterations: int | None = None) -> int:
+def stable_rank(matrix: CartierMatrix) -> int:
     """Rank of M * M^(p) * ... * M^(p^(g-1)), the p-rank of the model.
 
-    Entrywise p-th powers are the identity over the prime field, but the
-    semilinear product is formed literally so the definition stays visible.
+    The twist M^(p^i) raises every entry to the p^i-th power, which fixes
+    the prime field, so the product is the plain power M^g.
     """
     g = matrix.size
     if g == 0:
         return 0
-    steps = g if iterations is None else iterations
     product = matrix.entries
-    twisted = matrix.entries
-    for _ in range(steps - 1):
-        twisted = _entrywise_power(twisted, matrix.p)
-        product = _mat_mul(product, twisted, matrix.p)
+    for _ in range(g - 1):
+        product = _mat_mul(product, matrix.entries, matrix.p)
     return _rank_mod_p(product, matrix.p)
 
 

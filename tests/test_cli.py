@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -39,9 +40,11 @@ def test_enumerate_rejects_even_char(capsys):
 
 
 def test_enumerate_rejects_wrong_pair(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["enumerate", "--group", "alt7", "--char", "11"])
-    assert exc.value.code != 0
+    code, out, err = run(["enumerate", "--group", "alt7", "--char", "11"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "characteristic 11 not supported for alt7" in err
+    assert "odd prime" in err
 
 
 def test_json_output_roundtrips_byte_identically(capsys):
@@ -112,8 +115,10 @@ def test_group_audit_detects_corruption(tmp_path, monkeypatch, capsys):
 
 def test_group_audit_missing_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(permgroup.DATA_ENV_VAR, str(tmp_path / "empty"))
-    with pytest.raises(SystemExit):
-        cli.main(["group-audit", "alt7"])
+    code, out, err = run(["group-audit", "alt7"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read generator file:")
 
 
 def test_bounds_all_holds(capsys):
@@ -129,8 +134,10 @@ def test_bounds_all_holds(capsys):
 
 
 def test_bounds_unknown_chain(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["bounds", "nosuch"])
+    code, out, err = run(["bounds", "nosuch"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown chain 'nosuch'")
 
 
 def test_bounds_classification(capsys):
@@ -162,11 +169,50 @@ def test_prank_gamma_zero(capsys):
 
 
 def test_prank_rejects_degenerate(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["prank", "--p", "5", "--curve", "y^2 = x^2"])
+    code, out, err = run(["prank", "--p", "5", "--curve", "y^2 = x^2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_text_format_runs(capsys):
     code, out, _ = run(["group-audit", "alt7", "--format", "text"], capsys)
     assert code == 0
     assert "order by stabilizer chain" in out
+
+
+# SHA-256 of each ``--format json`` report.  Reports promise byte-identical
+# output for the same inputs, so a change to any of these bytes is a defect.
+GOLDEN_REPORTS = [
+    ("group-audit-alt7", ["group-audit", "alt7"],
+     "160b074e9b02656d130758e01de75df7858c1809280bd8b481a2287f816441d9"),
+    ("group-audit-m11", ["group-audit", "m11"],
+     "a8d18260f8422a7473f8e6cdaa9f75454eb7dee5856c1ae78648f4539c49c3d5"),
+    ("enumerate-alt7-3", ["enumerate", "--group", "alt7", "--char", "3"],
+     "73064f2b6489f6cb281d5416b15ba353ec5cfdc8fc57637bbf1fe7e20c5790dc"),
+    ("enumerate-alt7-5", ["enumerate", "--group", "alt7", "--char", "5"],
+     "22b2f81d5dcb56cea45d20592f4360ddecd97a8bdcc28f6f7e99992e5052c10d"),
+    ("enumerate-alt7-7", ["enumerate", "--group", "alt7", "--char", "7"],
+     "9d573afafa67c61f4238f894cd776e37d6e58a9be6891b401f29f248e55dce3b"),
+    ("enumerate-m11-3", ["enumerate", "--group", "m11", "--char", "3"],
+     "8847e18015743a583e717e650c8f1660efc7581634815869d0b02b4ca634c836"),
+    ("enumerate-m11-5", ["enumerate", "--group", "m11", "--char", "5"],
+     "fc8c060ccbf8b682511286ae90b0a58739b92629d3294bd2cf3b9be4eda4ad8f"),
+    ("enumerate-m11-11", ["enumerate", "--group", "m11", "--char", "11"],
+     "c6246848370516c8f14b95383c4f90b155bcfa702b3603fbd780f0f4276f5702"),
+    ("bounds-all", ["bounds", "all"],
+     "f6ee5d00cdb4464c6cbf1e600f8404c3953188c3a726918c3b85bef4f268c8ab"),
+    ("bounds-main-7920-26", ["bounds", "main", "--order", "7920", "--genus", "26"],
+     "48113e4dadf6a50fc52109aabf16406e415acb46428a13b545b610b0a722e660"),
+    ("prank-oracle-p3", ["prank", "--p", "3", "--curve", "y^2 = x^5 - x", "--oracle"],
+     "3a9e0ca8bb6fa3171a46be4c5eb837bfd84ab93c0b6580e1a697fba76d1daef9"),
+    ("prank-oracle-p7", ["prank", "--p", "7", "--curve", "y^2 = x^7 + 3*x + 1", "--oracle"],
+     "91535697ab8281b9de76b56b26016050fadc164e35789144586957df6c6ede3b"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", [pytest.param(a, d, id=i) for i, a, d in GOLDEN_REPORTS])
+def test_json_reports_match_golden_digests(argv, digest, capsys):
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

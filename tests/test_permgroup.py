@@ -1,5 +1,6 @@
 """Engine checks backed by exhaustive-closure oracles on small groups."""
 
+import math
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from curvebound.perm import DegreeMismatchError, Permutation
 from curvebound.permgroup import (
     PermGroup,
     closure_elements,
-    group_from_generators,
     max_solvable_with_cyclic_complement,
     p_subgroup_class_reps,
     parse_generator_file,
@@ -33,7 +33,7 @@ def brute_derived_series_solvable(group):
 
 
 def test_trivial_group():
-    g = group_from_generators([], degree=7)
+    g = PermGroup([], degree=7)
     assert g.order() == 1
     assert Permutation.identity(7) in g
     assert g.element_order_set() == {1}
@@ -103,11 +103,15 @@ def test_random_products_are_members(alt7):
 
 
 def test_order_product_of_orbit_lengths(m11):
-    lengths = [len(level.transversal) for level in m11._levels]
-    prod = 1
-    for n in lengths:
-        prod *= n
-    assert prod == m11.order() == 7920
+    levels = list(m11._chain())
+    assert [level._base_point for level in levels] == list(m11.base)
+    # M11 is sharply 4-transitive on 11 points.
+    assert [len(level._transversal) for level in levels] == [11, 10, 9, 8]
+    for level in levels:
+        assert all(s(level._base_point) == level._base_point for s in level._stabilizer.generators)
+        assert level.order() == len(level._transversal) * level._stabilizer.order()
+    assert m11.order() == 11 * 10 * 9 * 8 == 7920
+    assert levels[-1]._stabilizer.is_trivial()
 
 
 def test_is_solvable_against_derived_oracle(alt7):
@@ -123,7 +127,7 @@ def test_is_solvable_against_derived_oracle(alt7):
     assert not a5.is_solvable()
     assert not brute_derived_series_solvable(a5)
     assert not alt7.is_solvable()
-    assert group_from_generators([], degree=3).is_solvable()
+    assert PermGroup([], degree=3).is_solvable()
 
 
 def test_element_order_set_closed_under_divisors(m11, alt7):
@@ -151,7 +155,7 @@ def test_sylow_divides_and_is_full_p_part(alt7, m11):
 def test_sylow_of_trivial_and_nondividing():
     s4 = sym(4)
     assert s4.sylow_subgroup(5).order() == 1
-    assert group_from_generators([], degree=4).sylow_subgroup(3).order() == 1
+    assert PermGroup([], degree=4).sylow_subgroup(3).order() == 1
 
 
 def test_normalizer_contains_subgroup_and_index_is_class_size(alt7):
@@ -254,3 +258,106 @@ def test_generator_file_parsing():
     assert degree == 8
     assert len(gens) == 2
     assert all(g.degree == 8 for g in gens)
+
+
+def _random_small_generators(rng, n):
+    """One to three random generators of degree n of a group of order at most 5040.
+
+    Either they permute the points inside the blocks of a random partition
+    into parts of at most four points, or they preserve a random system of
+    equal blocks, permuting the blocks among themselves (wreath products).
+    """
+    points = list(range(n))
+    rng.shuffle(points)
+    gens = []
+    if rng.random() < 0.5:
+        blocks = []
+        while points:
+            size = rng.randint(1, min(4, len(points)))
+            blocks.append(points[:size])
+            points = points[size:]
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(n))
+            for block in blocks:
+                for a, b in zip(block, rng.sample(block, len(block))):
+                    images[a] = b
+            gens.append(Permutation(images))
+        return gens
+    sizes = [b for b in range(1, n + 1) if n % b == 0 and _wreath_order(b, n // b) <= 5040]
+    b = rng.choice(sizes)
+    blocks = [points[i:i + b] for i in range(0, n, b)]
+    for _ in range(rng.randint(1, 3)):
+        images = list(range(n))
+        for block, target in zip(blocks, rng.sample(blocks, len(blocks))):
+            for a, c in zip(block, rng.sample(target, b)):
+                images[a] = c
+        gens.append(Permutation(images))
+    return gens
+
+
+def _wreath_order(b, k):
+    return math.factorial(b) ** k * math.factorial(k)
+
+
+RANDOM_SETS = [
+    pytest.param(_random_small_generators(random.Random(1000 * n + i), n), id=f"deg{n}-{i}")
+    for n in range(2, 11)
+    for i in range(4)
+]
+
+
+@pytest.mark.parametrize("gens", RANDOM_SETS)
+def test_random_groups_against_closure(gens):
+    n = gens[0].degree
+    group = PermGroup(gens, n)
+    closure = closure_elements(gens, n)
+    assert group.order() == len(closure)
+    assert set(group.elements()) == closure
+    assert all(g in group for g in gens)
+    assert set(group.generators) <= set(gens)
+    rng = random.Random(n)
+    probes = [Permutation(rng.sample(range(n), n)) for _ in range(200)]
+    for x in probes:
+        assert (x in group) == (x in closure)
+    level = group
+    for point in group.base:
+        assert level._base_point == point
+        assert set(level._stabilizer.elements()) == {x for x in level.elements() if x(point) == point}
+        level = level._stabilizer
+    assert level.is_trivial()
+
+
+@pytest.mark.parametrize("gens", RANDOM_SETS)
+def test_random_groups_against_sympy(gens):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    n = gens[0].degree
+    group = PermGroup(gens, n)
+    other = combinatorics.PermutationGroup([combinatorics.Permutation(list(g.images)) for g in gens])
+    assert group.order() == other.order()
+    for i in range(n):
+        assert group.point_stabilizer(i).order() == other.stabilizer(i).order()
+
+
+def _cycle(points, n):
+    return Permutation.parse("(" + ",".join(str(i) for i in points) + ")", n)
+
+
+M24_GENERATORS = [
+    "(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23)",
+    "(3,17,10,7,9)(4,13,14,19,5)(8,18,11,12,23)(15,20,22,21,16)",
+    "(1,24)(2,23)(3,12)(4,16)(5,18)(6,10)(7,20)(8,14)(9,21)(11,17)(13,22)(15,19)",
+]
+
+
+@pytest.mark.parametrize("name, gens, order, depth", [
+    pytest.param("S16", [_cycle((1, 2), 16), _cycle(range(1, 17), 16)], math.factorial(16), 15, id="S16"),
+    pytest.param("A16", [_cycle((1, 2, 3), 16), _cycle(range(2, 17), 16)], math.factorial(16) // 2, 14,
+                 id="A16"),
+    pytest.param("M24", [Permutation.parse(g, 24) for g in M24_GENERATORS], 244823040, 7, id="M24"),
+])
+def test_large_group_orders(name, gens, order, depth):
+    group = PermGroup(gens)
+    assert group.order() == order
+    assert len(group.base) == depth
+    assert all(g in group for g in gens)
+    assert (_cycle((1, 2), gens[0].degree) in group) == (name == "S16")
