@@ -140,10 +140,11 @@ def sporadic_facts(name: str, p: int) -> GroupFacts:
     """Wild and tame catalogs for ALT7 or M11 at a wild prime p.
 
     The wild catalog is recomputed by a live subgroup search: for every
-    elementary abelian p-subgroup Q of a Sylow p-subgroup, the cyclic
-    prime-to-p orders available in N(Q) give the complements, filtered by
-    the ordinary-stabilizer constraint E <= |Q| - 1.  The tame catalog is
-    the element-order set minus 1 and multiples of p.
+    elementary abelian Q among the subgroups of one Sylow p-subgroup, the
+    prime-to-p element orders of N(Q) (``permgroup.complement_orders``) give
+    the cyclic complements, filtered by the ordinary-stabilizer constraint
+    E <= |Q| - 1.  The tame catalog is the element-order set minus 1 and
+    multiples of p.
     """
     key = name.upper()
     if key not in SPORADIC_WILD_PRIMES:
@@ -151,16 +152,13 @@ def sporadic_facts(name: str, p: int) -> GroupFacts:
     if p not in SPORADIC_WILD_PRIMES[key]:
         raise ValueError(f"unsupported characteristic {p} for {key}")
     group = _sporadic_group(key.lower())
-    wild = set()
-    for q_rep in permgroup.p_subgroup_class_reps(group, p):
-        if not q_rep.is_elementary_abelian(p):
-            continue
-        q1 = q_rep.order()
-        normal = group.normalizer(q_rep)
-        for g in normal.elements():
-            e1 = g.order()
-            if gcd(e1, p) == 1 and e1 <= q1 - 1:
-                wild.add((q1, e1))
+    wild = {
+        (q.order(), e)
+        for q, orders in permgroup.complement_orders(group, p)
+        if q.is_elementary_abelian(p)
+        for e in orders
+        if e <= q.order() - 1
+    }
     tame = {e for e in group.element_order_set() if e > 1 and e % p != 0}
     return GroupFacts(
         name=key,

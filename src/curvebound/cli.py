@@ -109,7 +109,7 @@ def _digest(*parts: str) -> str:
 # -- enumerate ----------------------------------------------------------------
 
 
-def cmd_enumerate(group: str, char: int, fmt: str = "json") -> Report:
+def cmd_enumerate(group: str, char: int) -> Report:
     if group not in EXPECTED_ORDERS:
         raise UsageError(f"unknown group {group!r} (choose alt7 or m11)")
     wild = classical.SPORADIC_WILD_PRIMES[group.upper()]

@@ -32,6 +32,7 @@ def factorize(n: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
     return factorize(n) == ((n, 1),)
 

@@ -8,9 +8,11 @@ Adding a generator reruns it on the base point and passes each Schreier
 generator that is not yet a member down to the stabilizer, so every level
 generates exactly the stabilizer of its base point.  Point stabilizers,
 normalizers (stabilizers of an element set under conjugation) and subgroup
-class sizes (orbit lengths) come from the same routine.  Order, membership,
-Sylow subgroups and solvability are derived from the chain.  No group fact
-is ever read from a table.
+class sizes (orbit lengths) come from the same routine.  Order, membership
+and solvability are derived from the chain.  Sylow subgroups and the
+p-subgroups inside one of them are chains grown one generator at a time,
+and simplicity is decided by normal closures of elements of prime order in
+Sylow centres.  No group fact is ever read from a table.
 
 Groups are immutable once constructed and every operation is pure, so shared
 instances are safe under concurrent use.  Generators are added in sorted
@@ -21,8 +23,8 @@ bit-identical across runs.
 from __future__ import annotations
 
 import os
-from math import gcd
 
+from .fppoly import factorize
 from .perm import DegreeMismatchError, Permutation
 
 ELEMENT_SCAN_CAP = 10**7
@@ -56,7 +58,6 @@ class PermGroup:
         self._stabilizer = None
         self._order = 1
         self._elements = None
-        self._class_reps = None
         for g in sorted(set(generators)):
             if g not in self:
                 self._add(g)
@@ -226,36 +227,25 @@ class PermGroup:
         """Abelian and generated by elements of order p, so every element has order p or 1."""
         return self.is_abelian() and all(g.order() == p for g in self.generators)
 
-    def conjugacy_class_reps(self):
-        """Minimal representative of each element conjugacy class, sorted."""
-        if self._class_reps is None:
-            remaining = set(self.elements())
-            reps = []
-            while remaining:
-                x = min(remaining)
-                reps.append(x)
-                orbit = {x}
-                frontier = [x]
-                while frontier:
-                    y = frontier.pop()
-                    for g in self.generators:
-                        c = y.conjugate(g)
-                        if c not in orbit:
-                            orbit.add(c)
-                            frontier.append(c)
-                remaining -= orbit
-            self._class_reps = tuple(reps)
-        return self._class_reps
-
     def is_simple(self) -> bool:
-        """Nontrivial, and every nontrivial class generates the whole group."""
+        """Nontrivial with no proper nontrivial normal subgroup, decided on Sylow centres.
+
+        A normal subgroup N > 1 meets a Sylow r-subgroup P, for r a prime
+        dividing |N|, in a nontrivial normal subgroup of P, which meets Z(P).
+        So the group is simple iff, for each prime r dividing its order, one
+        element of each subgroup of order r in Z(P) has it as normal closure.
+        """
         if self._order == 1:
             return False
-        for rep in self.conjugacy_class_reps():
-            if rep.is_identity():
-                continue
-            if self.normal_closure([rep]).order() != self._order:
-                return False
+        for r, _ in factorize(self._order):
+            sylow = self.sylow_subgroup(r)
+            covered = set()
+            for z in sylow.elements():
+                if z in covered or z.order() != r or any(z * g != g * z for g in sylow.generators):
+                    continue
+                covered.update(z**i for i in range(1, r))
+                if self.normal_closure([z]).order() != self._order:
+                    return False
         return True
 
     # -- Sylow machinery -----------------------------------------------------
@@ -263,38 +253,24 @@ class PermGroup:
     def sylow_subgroup(self, p: int) -> "PermGroup":
         """A Sylow p-subgroup, grown deterministically along normalizers.
 
-        Starts from the least element of order p and extends inside the
-        normalizer chain until the full p-part of the order is reached.
-        Returns the trivial group when p does not divide the order.
+        From the trivial group, joins the least p-element of the current
+        subgroup's normalizer outside it (one exists until the subgroup is
+        Sylow) until the p-part of the order is reached; trivial when p does
+        not divide the order.
         """
-        p_part = 1
-        n = self._order
-        while n % p == 0:
-            p_part *= p
-            n //= p
-        if p_part == 1:
-            return PermGroup([], self.degree)
-        seed = None
-        for g in self.elements():
-            k = g.order()
-            if k % p == 0:
-                seed = g ** (k // p)
-                break
-        current = PermGroup([seed], self.degree)
+        p_part = p ** dict(factorize(self._order)).get(p, 0)
+        current = PermGroup([], self.degree)
         while current.order() < p_part:
-            normalizer = self.normalizer(current)
-            for y in normalizer.elements():
-                k = y.order()
-                if k > 1 and p_part % k == 0 and y not in current:
-                    current = PermGroup(list(current.generators) + [y], self.degree)
-                    break
-            else:
-                raise RuntimeError("sylow extension stalled")  # unreachable by Sylow theory
+            y = next(y for y in self.normalizer(current).elements()
+                     if p_part % y.order() == 0 and y not in current)
+            current = PermGroup(current.generators + (y,), self.degree)
         return current
 
     def normalizer(self, subgroup: "PermGroup") -> "PermGroup":
-        """N_G(H): the stabilizer of H's element set under conjugation."""
-        _, schreier = self._conjugates_of(subgroup)
+        """N_G(H): the stabilizer of H's element set under conjugation; G itself if H is normal."""
+        transversal, schreier = self._conjugates_of(subgroup)
+        if len(transversal) == 1:
+            return self
         return PermGroup(schreier, self.degree)
 
     def conjugacy_class_size_of_subgroup(self, subgroup: "PermGroup") -> int:
@@ -318,7 +294,7 @@ class PermGroup:
 
 
 def closure_elements(gens, degree=None):
-    """Exhaustive closure of a generator list; independent of the BSGS path."""
+    """Exhaustive closure of a generator list; an oracle independent of the stabilizer chain."""
     if not gens:
         return {Permutation.identity(degree)} if degree else set()
     degree = max([degree or 0] + [g.degree for g in gens])
@@ -337,46 +313,39 @@ def closure_elements(gens, degree=None):
     return seen
 
 
-def _subgroup_key(elements):
-    return tuple(sorted(g.images for g in elements))
-
-
 def p_subgroup_class_reps(group: PermGroup, p: int):
-    """Nontrivial subgroups of one Sylow p-subgroup, deduplicated by key.
+    """Nontrivial subgroups of one Sylow p-subgroup, sorted by element set.
 
-    Every p-subgroup of the group is conjugate to one of these, so they are
-    enough to survey stabilizer shapes Q ⋊ C.
+    Grown from the trivial group by joining each subgroup found to one
+    element of each of its other cosets in the Sylow subgroup.  Every
+    p-subgroup is conjugate to one of these, enough to survey shapes Q ⋊ C.
     """
-    syl = group.sylow_subgroup(p)
-    if syl.is_trivial():
-        return []
-    elems = syl.elements()
+    sylow = group.sylow_subgroup(p)
     found = {}
-    frontier = []
-    for x in elems:
-        if x.is_identity():
-            continue
-        sub = frozenset(closure_elements([x]))
-        key = _subgroup_key(sub)
-        if key not in found:
-            found[key] = (sub, (x,))
-            frontier.append((sub, (x,)))
+    frontier = [PermGroup([], group.degree)]
     while frontier:
-        sub, gens = frontier.pop()
-        for x in elems:
-            if x in sub:
-                continue
-            joined = frozenset(closure_elements(list(gens) + [x]))
-            key = _subgroup_key(joined)
-            if key not in found:
-                new = (joined, tuple(list(gens) + [x]))
-                found[key] = new
-                frontier.append(new)
-    reps = []
-    for key in sorted(found):
-        sub, gens = found[key]
-        reps.append(PermGroup(list(gens), group.degree))
-    return reps
+        sub = frontier.pop()
+        tried = set(sub.elements())
+        for x in sylow.elements():
+            if x not in tried:
+                tried.update(x * h for h in sub.elements())
+                joined = PermGroup(sub.generators + (x,), group.degree)
+                if joined.elements() not in found:
+                    found[joined.elements()] = joined
+                    frontier.append(joined)
+    return [found[key] for key in sorted(found)]
+
+
+def complement_orders(group: PermGroup, p: int):
+    """(Q, orders) for each Q from ``p_subgroup_class_reps``: the prime-to-p element orders of N(Q).
+
+    These are the orders of the cyclic complements C that make Q ⋊ C a
+    subgroup; 1 is always among them.
+    """
+    return [
+        (q, {g.order() for g in group.normalizer(q).elements() if g.order() % p})
+        for q in p_subgroup_class_reps(group, p)
+    ]
 
 
 def max_solvable_with_cyclic_complement(group: PermGroup, p: int) -> int:
@@ -384,18 +353,9 @@ def max_solvable_with_cyclic_complement(group: PermGroup, p: int) -> int:
 
     Such Q ⋊ C subgroups are exactly the solvable subgroups whose Sylow
     p-subgroup is normal with a cyclic complement, the shape wild one-point
-    stabilizers take.
+    stabilizers take.  0 when p does not divide the order.
     """
-    best = 0
-    for q_rep in p_subgroup_class_reps(group, p):
-        normal = group.normalizer(q_rep)
-        complement_orders = [1]
-        for g in normal.elements():
-            k = g.order()
-            if gcd(k, p) == 1:
-                complement_orders.append(k)
-        best = max(best, q_rep.order() * max(complement_orders))
-    return best
+    return max((q.order() * max(orders) for q, orders in complement_orders(group, p)), default=0)
 
 
 # -- generator files --------------------------------------------------------

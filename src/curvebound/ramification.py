@@ -31,10 +31,6 @@ class WildStabilizer:
         if not 1 <= self.E1 <= self.q1 - 1:
             raise ValueError(f"complement order {self.E1} exceeds {self.q1 - 1}")
 
-    @property
-    def p(self) -> int:
-        return factor_prime_power(self.q1)[0]
-
 
 def wild_different(w: WildStabilizer):
     """(e, d) for a wild point with trivial second ramification group.

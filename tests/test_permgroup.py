@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from curvebound.fppoly import factorize
 from curvebound.perm import DegreeMismatchError, Permutation
 from curvebound.permgroup import (
     PermGroup,
@@ -361,3 +362,81 @@ def test_large_group_orders(name, gens, order, depth):
     assert len(group.base) == depth
     assert all(g in group for g in gens)
     assert (_cycle((1, 2), gens[0].degree) in group) == (name == "S16")
+
+
+def brute_is_simple(group):
+    """Oracle: nontrivial, and the full conjugacy class of every x != 1 generates the group."""
+    elements = closure_elements(list(group.generators), group.degree)
+    remaining = {x for x in elements if not x.is_identity()}
+    if not remaining:
+        return False
+    while remaining:
+        x = min(remaining)
+        conjugates = {x.conjugate(g) for g in elements}
+        if len(closure_elements(sorted(conjugates), group.degree)) != len(elements):
+            return False
+        remaining -= conjugates
+    return True
+
+
+NAMED_GROUPS = [
+    pytest.param([], 3, 1, False, id="trivial"),
+    pytest.param(["(1,2)"], 2, 2, True, id="C2"),
+    pytest.param(["(1,2,3)"], 3, 3, True, id="C3"),
+    pytest.param(["(1,2,3,4)"], 4, 4, False, id="C4"),
+    pytest.param(["(1,2,3,4,5)"], 5, 5, True, id="C5"),
+    pytest.param(["(1,2,3,4,5,6,7,8,9)"], 9, 9, False, id="C9"),
+    pytest.param(["(1,2,3)", "(4,5,6)"], 6, 9, False, id="C3xC3"),
+    pytest.param(["(1,2)(3,4)", "(1,3)(2,4)"], 4, 4, False, id="V4"),
+    pytest.param(["(1,2)", "(1,2,3)"], 3, 6, False, id="S3"),
+    pytest.param(["(1,2,3)", "(2,3,4)"], 4, 12, False, id="A4"),
+    pytest.param(["(1,2,3,4)", "(1,3)"], 4, 8, False, id="D8"),
+    pytest.param(["(1,2)", "(1,2,3,4)"], 4, 24, False, id="S4"),
+    pytest.param(["(1,2,3)", "(3,4,5)"], 5, 60, True, id="A5"),
+    pytest.param(["(1,2)", "(1,2,3,4,5)"], 5, 120, False, id="S5"),
+    pytest.param(["(1,2,3)", "(2,3,4,5,6)"], 6, 360, True, id="A6"),
+    pytest.param(["(1,2,3)", "(3,4,5)", "(6,7)"], 7, 120, False, id="A5xC2"),
+    pytest.param(["(1,2,3,4,5,6,7)", "(2,3)(4,7)"], 7, 168, True, id="PSL27"),
+]
+
+
+@pytest.mark.parametrize("gens, degree, order, simple", NAMED_GROUPS)
+def test_is_simple_named_groups(gens, degree, order, simple):
+    group = PermGroup([Permutation.parse(g, degree) for g in gens], degree)
+    assert group.order() == order
+    assert group.is_simple() == brute_is_simple(group) == simple
+
+
+@pytest.mark.parametrize("gens", [p for p in RANDOM_SETS if PermGroup(p.values[0]).order() <= 720])
+def test_is_simple_random_groups(gens):
+    group = PermGroup(gens, gens[0].degree)
+    assert group.is_simple() == brute_is_simple(group)
+
+
+def brute_p_subgroups(sylow):
+    """Oracle: the cyclic subgroups of a Sylow subgroup closed under joins, by exhaustive closure."""
+    elements = [x for x in sylow.elements() if not x.is_identity()]
+    found = set()
+    frontier = [(frozenset([sylow.identity()]), [])]
+    while frontier:
+        sub, gens = frontier.pop()
+        for x in elements:
+            if x not in sub:
+                joined = frozenset(closure_elements(gens + [x], sylow.degree))
+                if joined not in found:
+                    found.add(joined)
+                    frontier.append((joined, gens + [x]))
+    return found
+
+
+@pytest.mark.parametrize("gens", RANDOM_SETS)
+def test_sylow_and_p_subgroups_random_groups(gens):
+    group = PermGroup(gens, gens[0].degree)
+    for p, k in factorize(group.order()):
+        sylow = group.sylow_subgroup(p)
+        assert sylow.order() == p**k
+        assert all(g in group for g in sylow.generators)
+        reps = p_subgroup_class_reps(group, p)
+        keys = [q.elements() for q in reps]
+        assert keys == sorted(set(keys))
+        assert {frozenset(key) for key in keys} == brute_p_subgroups(sylow)
