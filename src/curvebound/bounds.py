@@ -46,14 +46,6 @@ class PowerBound:
         if self.coeff <= 0 or self.den <= 0 or self.num < 0 or self.mult <= 0:
             raise ValueError("power bound must be positive with non-negative exponent")
 
-    def describe(self) -> str:
-        c = str(self.coeff)
-        inner = f"(g{self.shift:+d})" if self.shift else "g"
-        if self.den == 1 and self.mult == 1:
-            return f"{c}*{inner}^{self.num}"
-        radicand = f"{self.mult}*{inner}^{self.num}" if self.mult != 1 else f"{inner}^{self.num}"
-        return f"{c}*({radicand})^(1/{self.den})"
-
 
 def _raised(b: PowerBound, g: int, power: int) -> Fraction:
     """bound(g)**power exactly; power must be a multiple of b.den."""
@@ -73,29 +65,33 @@ def holds_at(b: PowerBound, value: int, g: int) -> bool:
     return F(value) ** b.den < _raised(b, g, b.den)
 
 
+def _cleared(b1: PowerBound, b2: PowerBound):
+    """(power, alpha, beta): raising both sides to power = lcm(den1, den2)
+    clears the roots, leaving the exponents alpha of g + s1 and beta of g + s2."""
+    power = lcm(b1.den, b2.den)
+    return power, b1.num * power // b1.den, b2.num * power // b2.den
+
+
 def compare_at(b1: PowerBound, b2: PowerBound, g: int) -> int:
     """Sign of b1(g) - b2(g), decided exactly."""
-    power = lcm(b1.den, b2.den)
+    power = _cleared(b1, b2)[0]
     lhs = _raised(b1, g, power)
     rhs = _raised(b2, g, power)
     return (lhs > rhs) - (lhs < rhs)
 
 
 def _split_point(b1: PowerBound, b2: PowerBound):
-    """Integer near the single extremum of the cleared log-difference.
+    """The single extremum of the cleared log-difference, None if there is none.
 
     After clearing roots the comparison is A*(g+s1)^alpha vs B*(g+s2)^beta;
     beta*ln(g+s2) - alpha*ln(g+s1) has at most one stationary point, at
     g = (alpha*s2 - beta*s1)/(beta - alpha), so the sign of the difference
     changes at most once on each side of it.
     """
-    power = lcm(b1.den, b2.den)
-    alpha = b1.num * power // b1.den
-    beta = b2.num * power // b2.den
+    _, alpha, beta = _cleared(b1, b2)
     if alpha == beta:
-        return None, alpha, beta
-    star = F(alpha * b2.shift - beta * b1.shift, beta - alpha)
-    return star, alpha, beta
+        return None
+    return F(alpha * b2.shift - beta * b1.shift, beta - alpha)
 
 
 @dataclass(frozen=True)
@@ -121,7 +117,7 @@ def dominates(b1: PowerBound, b2: PowerBound, g_min: int, g_max=None, claim_id: 
     """
     if g_max is not None and g_max < g_min:
         raise ValueError("empty range")
-    star, alpha, beta = _split_point(b1, b2)
+    star = _split_point(b1, b2)
     checkpoints = {g_min}
     if g_max is not None:
         checkpoints.add(g_max)
@@ -141,9 +137,7 @@ def dominates(b1: PowerBound, b2: PowerBound, g_min: int, g_max=None, claim_id: 
 
 def _sign_at_infinity(b1: PowerBound, b2: PowerBound) -> int:
     """Sign of b1 - b2 for all large g, decided from exponents then coefficients."""
-    power = lcm(b1.den, b2.den)
-    alpha = b1.num * power // b1.den
-    beta = b2.num * power // b2.den
+    power, alpha, beta = _cleared(b1, b2)
     if alpha != beta:
         return 1 if alpha > beta else -1
     lhs = F(b1.coeff) ** power * F(b1.mult) ** (power // b1.den)
@@ -683,7 +677,6 @@ def chain_passes(chain_id: str) -> bool:
 # -- classification ----------------------------------------------------------
 
 HURWITZ = PowerBound(F(84), shift=-1)
-SOLVABLE = PowerBound(F(34), shift=1, num=3, den=2)
 MAIN = PowerBound(F(82137, 100), num=7, den=4)
 
 

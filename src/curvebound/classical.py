@@ -1,14 +1,15 @@
 """Closed-form orders for the classical families and sporadic group facts.
 
-The PSL/PGL/PSU/PGU orders and their designated solvable subgroups are given
-by exact integer formulas.  Facts about the two sporadic candidates (the
+The PSL/PGL/PSU/PGU orders, times an outer factor of field automorphisms,
+are exact integer formulas.  Facts about the two sporadic candidates (the
 alternating group on 7 points and the Mathieu group on 11 points) are always
 recomputed from their permutation representations, never read from a table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -55,7 +56,7 @@ class FamilySpec:
             return
         if self.q is None:
             raise ValueError(f"{self.family} requires a prime power q")
-        d, k = factor_prime_power(self.q)
+        outer = field_aut_divisors(self.q)
         if self.family in ("PSL2", "PGL2"):
             if self.q < 5 or self.q % 2 == 0:
                 raise ValueError("PSL(2,q) case requires odd q >= 5")
@@ -65,18 +66,17 @@ class FamilySpec:
         elif self.family in ("PSU3", "PGU3"):
             if self.q % 4 != 1:
                 raise ValueError("PSU(3,q) case requires q = 1 mod 4")
-        r = self.field_aut_factor
-        if r < 1 or k % r != 0 or r % 2 == 0:
-            raise ValueError(f"outer factor {r} is not an odd divisor of {k}")
+        if self.field_aut_factor not in outer:
+            raise ValueError(f"outer factor {self.field_aut_factor} not in {sorted(outer)}")
 
 
 def family_order(spec: FamilySpec) -> int:
     """Exact order of the group described by ``spec``."""
     q = spec.q
     if spec.family == "ALT7":
-        return _sporadic_group("alt7").order()
+        return sporadic_group("alt7").order()
     if spec.family == "M11":
-        return _sporadic_group("m11").order()
+        return sporadic_group("m11").order()
     if spec.family == "PSL2":
         base = q * (q - 1) * (q + 1) // 2
     elif spec.family == "PGL2":
@@ -90,23 +90,6 @@ def family_order(spec: FamilySpec) -> int:
     else:  # PGU3
         base = q**3 * (q**2 - 1) * (q**3 + 1)
     return base * spec.field_aut_factor
-
-
-def solvable_witness_order(spec: FamilySpec) -> int:
-    """Order of the designated solvable subgroup used by the bound arguments.
-
-    PSL(2,q): the Borel subgroup of order q(q-1)/2.  PSU(3,q): the Sylow
-    normalizer of order q^3(q^2-1)/gcd(3,q+1).  PSL(3,q): the Sylow
-    normalizer of order q^3(q-1)^2(q+1)/gcd(3,q-1).
-    """
-    q = spec.q
-    if spec.family == "PSL2":
-        return q * (q - 1) // 2
-    if spec.family == "PSU3":
-        return q**3 * (q**2 - 1) // gcd(3, q + 1)
-    if spec.family == "PSL3":
-        return q**3 * (q - 1) ** 2 * (q + 1) // gcd(3, q - 1)
-    raise ValueError(f"no designated solvable subgroup for {spec.family}")
 
 
 @dataclass(frozen=True)
@@ -131,9 +114,15 @@ class GroupFacts:
                 raise ValueError(f"invalid tame order {e}")
 
 
+def sporadic_group(name: str) -> PermGroup:
+    """The group of the ``alt7`` or ``m11`` generator file, cached per resolved
+    path: a process that points ``CURVEBOUND_DATA`` elsewhere reads that file."""
+    return _group_at(name, permgroup.generator_file_path(name))
+
+
 @lru_cache(maxsize=None)
-def _sporadic_group(name: str) -> PermGroup:
-    return permgroup.load_group(name)
+def _group_at(name: str, path: str) -> PermGroup:
+    return permgroup.load_group(name, os.path.dirname(path))
 
 
 def sporadic_facts(name: str, p: int) -> GroupFacts:
@@ -151,7 +140,7 @@ def sporadic_facts(name: str, p: int) -> GroupFacts:
         raise ValueError(f"unsupported sporadic group {name!r}")
     if p not in SPORADIC_WILD_PRIMES[key]:
         raise ValueError(f"unsupported characteristic {p} for {key}")
-    group = _sporadic_group(key.lower())
+    group = sporadic_group(key.lower())
     wild = {
         (q.order(), e)
         for q, orders in permgroup.complement_orders(group, p)

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -98,6 +99,17 @@ def _csv_cell(value):
     return value
 
 
+@contextmanager
+def _generator_file(name: str, data_dir=None):
+    """Yield the file's path; failing to read, parse or build it is a usage error."""
+    path = permgroup.generator_file_path(name, data_dir)
+    try:
+        yield path
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise UsageError(f"cannot read generator file: {path}: {reason}") from None
+
+
 def _digest(*parts: str) -> str:
     h = hashlib.sha256()
     for part in parts:
@@ -116,6 +128,10 @@ def cmd_enumerate(group: str, char: int) -> Report:
     if char not in wild:
         raise UsageError(f"characteristic {char} not supported for {group} "
                          f"(the characteristic must be an odd prime from {wild})")
+    with _generator_file(group):
+        order = classical.sporadic_group(group).order()
+    if order != EXPECTED_ORDERS[group]:
+        raise UsageError(f"the {group} generator file builds a group of order {order}")
     facts = classical.sporadic_facts(group.upper(), char)
     candidates = ramification.enumerate_case_iii(facts)
     coefficient = ramification.case_i_ii_coefficient(facts)
@@ -158,16 +174,10 @@ def cmd_enumerate(group: str, char: int) -> Report:
 def cmd_group_audit(name: str, data_dir=None) -> Report:
     if name not in EXPECTED_ORDERS:
         raise UsageError(f"unknown group {name!r} (choose alt7 or m11)")
-    path = permgroup.generator_file_path(name, data_dir)
-    try:
+    with _generator_file(name, data_dir) as path:
         with open(path, encoding="ascii") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read generator file: {exc}")
-    gens, degree = permgroup.parse_generator_file(text)
-    if not gens:
-        raise UsageError(f"no generators in {path}")
-    group = permgroup.PermGroup(gens, degree)
+        group = permgroup.PermGroup(*permgroup.parse_generator_file(text))
     report = Report(command=["group-audit", name], input_digest=_digest(name, text))
     checks = []
 
@@ -218,7 +228,10 @@ def cmd_bounds(chain: str, order: int | None = None, genus: int | None = None) -
     if order is not None or genus is not None:
         if order is None or genus is None:
             raise UsageError("classification needs both --order and --genus")
-        labels = bounds.classify(order, genus)
+        try:
+            labels = bounds.classify(order, genus)
+        except ValueError as exc:
+            raise UsageError(str(exc))
         report = Report(command=["bounds", chain, "--order", str(order), "--genus", str(genus)],
                         input_digest=_digest(chain, str(order), str(genus)))
         for label in ("hurwitz", "nakajima", "solvable-3/2", "main-7/4"):

@@ -92,14 +92,6 @@ class FpPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return FpPoly(self.p, [self.coeff(i) + other.coeff(i) for i in range(n)])
 
-    def __sub__(self, other):
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FpPoly(self.p, [self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __neg__(self):
-        return FpPoly(self.p, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, int):
             return FpPoly(self.p, [c * other for c in self.coeffs])
@@ -115,15 +107,17 @@ class FpPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
+    def __pow__(self, k: int, modulus=None):
+        """self^k by square and multiply; ``pow(f, k, m)`` reduces mod m at each step."""
         if k < 0:
             raise ValueError("negative power")
-        result = FpPoly.constant(self.p, 1)
-        square = self
+        reduce = (lambda f: f) if modulus is None else (lambda f: f % modulus)
+        result = reduce(FpPoly.constant(self.p, 1))
+        square = reduce(self)
         while k:
             if k & 1:
-                result = result * square
-            square = square * square
+                result = reduce(result * square)
+            square = reduce(square * square)
             k >>= 1
         return result
 
@@ -164,10 +158,7 @@ class FpPoly:
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
-        if a.is_zero():
-            return a
-        inv = pow(a.leading(), self.p - 2, self.p)
-        return a * inv
+        return a.monic()
 
     def evaluate(self, x: int) -> int:
         acc = 0
@@ -215,17 +206,6 @@ class FpPoly:
         return " + ".join(reversed(terms))
 
 
-def _pow_mod(poly: FpPoly, e: int, modulus: FpPoly) -> FpPoly:
-    result = FpPoly.constant(poly.p, 1)
-    square = poly
-    while e:
-        if e & 1:
-            result = (result * square) % modulus
-        square = (square * square) % modulus
-        e >>= 1
-    return result
-
-
 @lru_cache(maxsize=4096)
 def squarefree_decomposition(f: FpPoly):
     """((a, i), ...) with each a monic, squarefree and non-constant, the parts
@@ -270,8 +250,8 @@ def field_tables(p: int, k: int):
     cofactors = [n // r for r, _ in factorize(n)]
     for tail in product(range(p), repeat=k):
         modulus = FpPoly(p, tail[::-1] + (1,))
-        if _pow_mod(x, n, modulus).coeffs == (1,) and all(
-            _pow_mod(x, e, modulus).coeffs != (1,) for e in cofactors
+        if pow(x, n, modulus).coeffs == (1,) and all(
+            pow(x, e, modulus).coeffs != (1,) for e in cofactors
         ):
             break
     reduction = [(-c) % p for c in modulus.coeffs[:k]]

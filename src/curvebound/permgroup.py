@@ -163,9 +163,6 @@ class PermGroup:
             self._elements = tuple(elems)
         return self._elements
 
-    def __iter__(self):
-        return iter(self.elements())
-
     def element_order_set(self):
         """Set of element orders; closed under divisors by Lagrange on ⟨x⟩."""
         return set(g.order() for g in self.elements())
@@ -368,7 +365,8 @@ def parse_generator_file(text: str):
     """Parse a generator file: one cycle-notation permutation per line.
 
     Blank lines and ``#`` comments are skipped; an optional ``degree: n``
-    header fixes the degree, otherwise the largest moved point is used.
+    header fixes the degree, otherwise the largest moved point is used.  A
+    file without generators is refused.
     """
     degree = 0
     raw = []
@@ -380,6 +378,8 @@ def parse_generator_file(text: str):
             degree = int(line.split(":", 1)[1])
             continue
         raw.append(line)
+    if not raw:
+        raise ValueError("no generators")
     perms = [Permutation.parse(line) for line in raw]
     degree = max([degree] + [g.degree for g in perms])
     return [g.extended(degree) for g in perms], degree
@@ -392,9 +392,6 @@ def generator_file_path(name: str, data_dir=None) -> str:
 
 def load_group(name: str, data_dir=None) -> PermGroup:
     """Load and build a group from its generator file (``alt7`` or ``m11``)."""
-    path = generator_file_path(name, data_dir)
-    with open(path, encoding="ascii") as handle:
-        gens, degree = parse_generator_file(handle.read())
-    if not gens:
-        raise ValueError(f"no generators in {path}")
-    return PermGroup(gens, degree)
+    with open(generator_file_path(name, data_dir), encoding="ascii") as handle:
+        text = handle.read()
+    return PermGroup(*parse_generator_file(text))

@@ -9,10 +9,11 @@ exact; agreement between them is part of the test contract.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .fppoly import FpPoly, _is_prime, field_tables, squarefree_decomposition
+from .fppoly import FpPoly, factorize, field_tables, squarefree_decomposition
 from .ramification import kummer_genus
 
 ZETA_GENUS_CAP = 3
@@ -46,8 +47,8 @@ class CurveModel:
         if self.f.is_zero() or self.f.degree < 1:
             raise UnsupportedModelError("right-hand side must be non-constant")
         mults = [mult for _, mult in squarefree_decomposition(self.f)]
-        for d in range(2, self.m + 1):
-            if self.m % d == 0 and _is_prime(d) and all(mu % d == 0 for mu in mults):
+        for d, _ in factorize(self.m):
+            if all(mu % d == 0 for mu in mults):
                 raise UnsupportedModelError("cover splits: an m-th root of f exists up to scalars")
         if genus_of_model(self) < 1:
             raise UnsupportedModelError("model has genus 0")
@@ -273,27 +274,19 @@ def zeta_l_polynomial(model: CurveModel):
     p = model.p
     if p**g > ZETA_POINT_CAP:
         raise UnsupportedModelError("field tower exceeds the point-count cap")
-    counts = [count_points(model, r) for r in range(1, g + 1)]
-    power_sums = [p**r + 1 - counts[r - 1] for r in range(1, g + 1)]
-    # Newton's identities: e_k from power sums of the inverse roots
-    elementary = [1]
+    power_sums = [p**r + 1 - count_points(model, r) for r in range(1, g + 1)]
+    coeffs = [1]
     for k in range(1, g + 1):
-        acc = 0
-        for i in range(1, k):
-            acc += (-1) ** (i - 1) * elementary[i] * power_sums[k - i - 1]
-        value = power_sums[k - 1] - acc
+        value = power_sums[k - 1] + _newton_sum(power_sums, coeffs, k)
         if value % k != 0:
             raise UnsupportedModelError("inconsistent point counts (non-integral symmetric function)")
-        elementary.append((-1) ** (k - 1) * value // k)
-    coeffs = [0] * (2 * g + 1)
-    coeffs[0] = 1
-    for k in range(1, g + 1):
-        coeffs[k] = (-1) ** k * elementary[k]
-    for k in range(0, g):
-        coeffs[2 * g - k] = p ** (g - k) * coeffs[k]
+        coeffs.append(-value // k)
+    coeffs += [p ** (g - k) * coeffs[k] for k in range(g - 1, -1, -1)]
     if p ** (g + 1) <= ZETA_POINT_CAP:
-        predicted = _predicted_count(coeffs, p, g + 1)
-        actual = count_points(model, g + 1)
+        # the same identity read for s_(g+1); genus 0 has L(t) = 1, so c_1 = 0
+        k = g + 1
+        predicted = p**k + 1 + k * (coeffs[k] if g else 0) + _newton_sum(power_sums, coeffs, k)
+        actual = count_points(model, k)
         if predicted != actual:
             raise UnsupportedModelError(
                 f"point count over GF(p^{g + 1}) is {actual}, L-polynomial predicts {predicted}"
@@ -301,18 +294,11 @@ def zeta_l_polynomial(model: CurveModel):
     return tuple(coeffs)
 
 
-def _predicted_count(l_coeffs, p: int, r: int) -> int:
-    """N_r from L(t) = prod (1 - alpha_i t) via extended Newton recursion."""
-    degree = len(l_coeffs) - 1
-    sums = []
-    for k in range(1, r + 1):
-        c_k = l_coeffs[k] if k <= degree else 0
-        acc = -k * c_k
-        for i in range(1, k):
-            c_i = l_coeffs[i] if i <= degree else 0
-            acc -= c_i * sums[k - i - 1]
-        sums.append(acc)
-    return p**r + 1 - sums[r - 1]
+def _newton_sum(power_sums, coeffs, k: int) -> int:
+    """Sum of s_i * c_(k-i) over 0 < i < k: Newton's identity k*c_k + s_k + sum = 0
+    ties the coefficients c of L(t) = prod (1 - alpha_i t) to the power sums
+    s_r = p^r + 1 - N_r of the alpha_i, and gives c_k or s_k from the others."""
+    return sum(power_sums[i - 1] * coeffs[k - i] for i in range(1, k))
 
 
 def zeta_prank_oracle(model: CurveModel) -> int:
@@ -330,8 +316,6 @@ def l_polynomial_p_rank(coeffs, p: int) -> int:
 
 def parse_curve(text: str, p: int) -> CurveModel:
     """Parse ``y^m = <integer polynomial in x>`` into a model over GF(p)."""
-    import re
-
     lhs, _, rhs = text.partition("=")
     if not rhs:
         raise ValueError("curve expression needs '='")
@@ -345,8 +329,6 @@ def parse_curve(text: str, p: int) -> CurveModel:
 
 
 def _parse_poly(text: str, p: int):
-    import re
-
     text = text.replace(" ", "").replace("**", "^").replace("-", "+-")
     terms = [t for t in text.split("+") if t]
     coeffs = {}

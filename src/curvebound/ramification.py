@@ -130,7 +130,6 @@ class Candidate:
     passes_hurwitz_filter: bool
     p_group_stabilizer: bool
     small_wild_part: bool
-    case_tag: str = "iii"
 
 
 def enumerate_case_iii(facts: GroupFacts):

@@ -6,7 +6,6 @@ from curvebound.classical import (
     factor_prime_power,
     family_order,
     field_aut_divisors,
-    solvable_witness_order,
     sporadic_facts,
 )
 
@@ -38,20 +37,6 @@ def test_pgl3_index(q):
     from math import gcd
 
     assert family_order(FamilySpec("PGL3", q)) == gcd(3, q - 1) * family_order(FamilySpec("PSL3", q))
-
-
-@pytest.mark.parametrize(
-    "family,q,expected",
-    [("PSL2", 5, 10), ("PSU3", 5, 1000), ("PSL3", 3, 432)],
-)
-def test_solvable_witness_orders(family, q, expected):
-    assert solvable_witness_order(FamilySpec(family, q)) == expected
-
-
-@pytest.mark.parametrize("family,q", [("PSL2", 9), ("PSL2", 25), ("PSU3", 13), ("PSL3", 7)])
-def test_witness_divides_order(family, q):
-    spec = FamilySpec(family, q)
-    assert family_order(spec) % solvable_witness_order(spec) == 0
 
 
 def test_outer_factor_scales_order():

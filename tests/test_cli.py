@@ -4,7 +4,7 @@ import json
 import jsonschema
 import pytest
 
-from curvebound import cli, permgroup
+from curvebound import classical, cli, permgroup
 
 
 def run(argv, capsys):
@@ -119,6 +119,50 @@ def test_group_audit_missing_file(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot read generator file:")
+
+
+GENERATOR_FILE_DEFECTS = {
+    "missing": (None, "No such file or directory"),
+    "unparsable line": ("(1,2,3,4,5,6,7,8,9,10,11)\n(1,2\n", "cannot parse permutation"),
+    "bad header": ("degree: x\n(1,2,3)\n", "invalid literal for int()"),
+    "empty": ("# no generators\n\n", "no generators"),
+    "not ascii": ("(1,2,3) \u2192\n", "codec can't decode"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(GENERATOR_FILE_DEFECTS))
+@pytest.mark.parametrize("argv", [["group-audit", "m11"], ["enumerate", "--group", "m11", "--char", "3"]],
+                         ids=["group-audit", "enumerate"])
+def test_generator_file_defects_exit_2(argv, defect, tmp_path, monkeypatch, capsys):
+    classical.sporadic_group("m11")  # the shipped group is cached first and must not be reused
+    text, message = GENERATOR_FILE_DEFECTS[defect]
+    if text is not None:
+        (tmp_path / "m11.txt").write_text(text, encoding="utf-8")
+    monkeypatch.setenv(permgroup.DATA_ENV_VAR, str(tmp_path))
+    code, out, err = run(argv + ["--format", "json"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read generator file:")
+    assert message in err
+
+
+def test_wrong_generator_group(tmp_path, monkeypatch, capsys):
+    classical.sporadic_group("m11")
+    (tmp_path / "m11.txt").write_text("(1,2)\n(3,4)\n")
+    monkeypatch.setenv(permgroup.DATA_ENV_VAR, str(tmp_path))
+    code, out, err = run(["enumerate", "--group", "m11", "--char", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: the m11 generator file builds a group of order 4\n"
+    code, out, _ = run(["group-audit", "m11", "--format", "json"], capsys)
+    assert code == 1  # a file that builds the wrong group is a failed verdict for the audit
+    assert json.loads(out)["verdict_summary"] == "fails"
+
+
+@pytest.mark.parametrize("order, genus, message", [("7920", "1", "genus must be at least 2"),
+                                                   ("0", "26", "order must be positive")])
+def test_bounds_classification_rejects_bad_values(order, genus, message, capsys):
+    code, out, err = run(["bounds", "main", "--order", order, "--genus", genus], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_bounds_all_holds(capsys):

@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvebound.fppoly import FpPoly, field_tables, squarefree_decomposition
 from curvebound.prank import (
@@ -44,6 +46,15 @@ def test_fppoly_power_routes_agree():
     assert (f**4).coeffs == f.pow_foldl(4).coeffs
     f5 = FpPoly(5, (1, 1, 0, 0, 0, 4))
     assert (f5**2).coeffs == f5.pow_foldl(2).coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(0, 6), max_size=7),
+       st.lists(st.integers(0, 6), max_size=5), st.integers(0, 40))
+def test_modular_power_is_the_reduced_power(p, f, m, e):
+    f, m = FpPoly(p, f), FpPoly(p, m)
+    assume(not m.is_zero())
+    assert pow(f, e, m) == (f**e) % m
 
 
 def test_squarefree_decomposition():
