@@ -106,7 +106,7 @@ class AuditReport:
             raise ValueError(f"bad verdict {self.verdict!r}")
 
 
-def dominates(b1: PowerBound, b2: PowerBound, g_min: int, g_max=None, claim_id: str = "dominates") -> AuditReport:
+def dominates(b1: PowerBound, b2: PowerBound, g_min: int, g_max=None) -> AuditReport:
     """Exact verdict that b1(g) < b2(g) for every integer g in [g_min, g_max].
 
     With g_max None the range is [g_min, infinity).  The cleared comparison
@@ -129,10 +129,10 @@ def dominates(b1: PowerBound, b2: PowerBound, g_min: int, g_max=None, claim_id: 
     for c in sorted(checkpoints):
         if compare_at(b1, b2, c) >= 0:
             witness = _smallest_failure(b1, b2, g_min, c)
-            return AuditReport(claim_id, "fails", witness, note=_tail_note(b1, b2))
+            return AuditReport("dominates", "fails", witness, note=_tail_note(b1, b2))
     if g_max is None and _sign_at_infinity(b1, b2) >= 0:
-        return AuditReport(claim_id, "holds-on-range", note="dominance degrades at infinity; " + _tail_note(b1, b2))
-    return AuditReport(claim_id, "holds", note=_tail_note(b1, b2))
+        return AuditReport("dominates", "holds-on-range", note="dominance degrades at infinity; " + _tail_note(b1, b2))
+    return AuditReport("dominates", "holds", note=_tail_note(b1, b2))
 
 
 def _sign_at_infinity(b1: PowerBound, b2: PowerBound) -> int:
@@ -224,19 +224,19 @@ def poly_positive_from(coeffs, start: int) -> AuditReport:
     return AuditReport("poly", "holds")
 
 
-def exp_upper(x: Fraction, terms: int = 40) -> Fraction:
-    """Exact rational upper bound for e**x (0 <= x < terms+1), Taylor tail."""
+def exp_upper(x: Fraction) -> Fraction:
+    """Exact rational upper bound for e**x (0 <= x < 41): 40 Taylor terms and a geometric tail."""
     x = F(x)
     if x < 0:
         raise ValueError("x must be non-negative")
-    if x >= terms + 1:
+    if x >= 41:
         raise ValueError("too few terms for the tail bound")
     total = F(0)
     term = F(1)
-    for k in range(terms):
+    for k in range(40):
         total += term
         term = term * x / (k + 1)
-    return total + term / (1 - x / (terms + 1))
+    return total + term / (1 - x / 41)
 
 
 # -- small polynomial helpers for the registry tails -------------------------
@@ -327,7 +327,7 @@ def _even_genus_step(step):
 
 def _dominates_step(step):
     b1, b2, g_min, g_max = step.params
-    rep = dominates(b1, b2, g_min, g_max, claim_id=step.step_id)
+    rep = dominates(b1, b2, g_min, g_max)
     note = (step.note + ("; " if step.note else "") + rep.note).strip()
     return AuditReport(step.step_id, rep.verdict, rep.witness, note=note)
 

@@ -8,14 +8,11 @@ recomputed from their permutation representations, never read from a table.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from . import permgroup
 from .fppoly import factorize
-from .permgroup import PermGroup
 
 FAMILIES = ("PSL2", "PGL2", "PSL3", "PGL3", "PSU3", "PGU3", "ALT7", "M11")
 SPORADIC_WILD_PRIMES = {"ALT7": (3, 5, 7), "M11": (3, 5, 11)}
@@ -73,10 +70,8 @@ class FamilySpec:
 def family_order(spec: FamilySpec) -> int:
     """Exact order of the group described by ``spec``."""
     q = spec.q
-    if spec.family == "ALT7":
-        return sporadic_group("alt7").order()
-    if spec.family == "M11":
-        return sporadic_group("m11").order()
+    if spec.family in ("ALT7", "M11"):
+        return permgroup.load_group(spec.family.lower()).order()
     if spec.family == "PSL2":
         base = q * (q - 1) * (q + 1) // 2
     elif spec.family == "PGL2":
@@ -114,17 +109,6 @@ class GroupFacts:
                 raise ValueError(f"invalid tame order {e}")
 
 
-def sporadic_group(name: str) -> PermGroup:
-    """The group of the ``alt7`` or ``m11`` generator file, cached per resolved
-    path: a process that points ``CURVEBOUND_DATA`` elsewhere reads that file."""
-    return _group_at(name, permgroup.generator_file_path(name))
-
-
-@lru_cache(maxsize=None)
-def _group_at(name: str, path: str) -> PermGroup:
-    return permgroup.load_group(name, os.path.dirname(path))
-
-
 def sporadic_facts(name: str, p: int) -> GroupFacts:
     """Wild and tame catalogs for ALT7 or M11 at a wild prime p.
 
@@ -140,7 +124,7 @@ def sporadic_facts(name: str, p: int) -> GroupFacts:
         raise ValueError(f"unsupported sporadic group {name!r}")
     if p not in SPORADIC_WILD_PRIMES[key]:
         raise ValueError(f"unsupported characteristic {p} for {key}")
-    group = sporadic_group(key.lower())
+    group = permgroup.load_group(key.lower())
     wild = {
         (q.order(), e)
         for q, orders in permgroup.complement_orders(group, p)

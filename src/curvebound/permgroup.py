@@ -9,20 +9,23 @@ generator that is not yet a member down to the stabilizer, so every level
 generates exactly the stabilizer of its base point.  Point stabilizers,
 normalizers (stabilizers of an element set under conjugation) and subgroup
 class sizes (orbit lengths) come from the same routine.  Order, membership
-and solvability are derived from the chain.  Sylow subgroups and the
-p-subgroups inside one of them are chains grown one generator at a time,
-and simplicity is decided by normal closures of elements of prime order in
-Sylow centres.  No group fact is ever read from a table.
+and solvability are derived from the chain.  A Sylow subgroup grows by the
+least p-element of the group's sorted elements that normalizes it and lies
+outside it; the p-subgroups inside it are chains grown one generator at a
+time, and simplicity is decided by normal closures of elements of prime
+order in Sylow centres.  No group fact is ever read from a table.
 
 Groups are immutable once constructed and every operation is pure, so shared
 instances are safe under concurrent use.  Generators are added in sorted
-order and Schreier generators are taken sorted, which makes every output
-bit-identical across runs.
+order (a Sylow subgroup's in growth order) and Schreier generators are taken
+sorted, which makes every output bit-identical across runs.
 """
 
 from __future__ import annotations
 
 import os
+import re
+from functools import lru_cache
 
 from .fppoly import factorize
 from .perm import DegreeMismatchError, Permutation
@@ -58,6 +61,7 @@ class PermGroup:
         self._stabilizer = None
         self._order = 1
         self._elements = None
+        self._element_orders = None
         for g in sorted(set(generators)):
             if g not in self:
                 self._add(g)
@@ -164,8 +168,10 @@ class PermGroup:
         return self._elements
 
     def element_order_set(self):
-        """Set of element orders; closed under divisors by Lagrange on ⟨x⟩."""
-        return set(g.order() for g in self.elements())
+        """Set of element orders, cached; closed under divisors by Lagrange on ⟨x⟩."""
+        if self._element_orders is None:
+            self._element_orders = frozenset(g.order() for g in self.elements())
+        return self._element_orders
 
     def subgroup(self, gens) -> "PermGroup":
         gens = list(gens)
@@ -248,26 +254,23 @@ class PermGroup:
     # -- Sylow machinery -----------------------------------------------------
 
     def sylow_subgroup(self, p: int) -> "PermGroup":
-        """A Sylow p-subgroup, grown deterministically along normalizers.
+        """A Sylow p-subgroup, grown deterministically inside the group's sorted elements.
 
-        From the trivial group, joins the least p-element of the current
-        subgroup's normalizer outside it (one exists until the subgroup is
-        Sylow) until the p-part of the order is reached; trivial when p does
-        not divide the order.
+        From the trivial group P, joins the least p-element of the group
+        outside P that normalizes P (one exists until P is Sylow) until the
+        p-part of the order is reached; trivial when p does not divide the
+        order.  The generators come in growth order.
         """
         p_part = p ** dict(factorize(self._order)).get(p, 0)
-        current = PermGroup([], self.degree)
-        while current.order() < p_part:
-            y = next(y for y in self.normalizer(current).elements()
-                     if p_part % y.order() == 0 and y not in current)
-            current = PermGroup(current.generators + (y,), self.degree)
-        return current
+        sylow = PermGroup([], self.degree)
+        while sylow._order < p_part:
+            sylow._add(next(y for y in self.elements() if p_part % y.order() == 0 and y not in sylow
+                            and all(h.conjugate(y) in sylow for h in sylow.generators)))
+        return sylow
 
     def normalizer(self, subgroup: "PermGroup") -> "PermGroup":
-        """N_G(H): the stabilizer of H's element set under conjugation; G itself if H is normal."""
-        transversal, schreier = self._conjugates_of(subgroup)
-        if len(transversal) == 1:
-            return self
+        """N_G(H): the stabilizer of H's element set under conjugation."""
+        _, schreier = self._conjugates_of(subgroup)
         return PermGroup(schreier, self.degree)
 
     def conjugacy_class_size_of_subgroup(self, subgroup: "PermGroup") -> int:
@@ -340,7 +343,7 @@ def complement_orders(group: PermGroup, p: int):
     subgroup; 1 is always among them.
     """
     return [
-        (q, {g.order() for g in group.normalizer(q).elements() if g.order() % p})
+        (q, {n for n in group.normalizer(q).element_order_set() if n % p})
         for q in p_subgroup_class_reps(group, p)
     ]
 
@@ -359,6 +362,7 @@ def max_solvable_with_cyclic_complement(group: PermGroup, p: int) -> int:
 
 DATA_ENV_VAR = "CURVEBOUND_DATA"
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+MAX_DEGREE = 100  # largest degree or point of a generator file; the shipped files use 7 and 11
 
 
 def parse_generator_file(text: str):
@@ -366,7 +370,8 @@ def parse_generator_file(text: str):
 
     Blank lines and ``#`` comments are skipped; an optional ``degree: n``
     header fixes the degree, otherwise the largest moved point is used.  A
-    file without generators is refused.
+    file without generators is refused, and so, before any permutation is
+    built, is one with a degree or point above ``MAX_DEGREE``.
     """
     degree = 0
     raw = []
@@ -380,18 +385,25 @@ def parse_generator_file(text: str):
         raw.append(line)
     if not raw:
         raise ValueError("no generators")
+    largest = max([degree] + [int(tok) for line in raw for tok in re.findall(r"\d+", line)])
+    if largest > MAX_DEGREE:
+        raise ValueError(f"degree {largest} exceeds the cap of {MAX_DEGREE}")
     perms = [Permutation.parse(line) for line in raw]
     degree = max([degree] + [g.degree for g in perms])
     return [g.extended(degree) for g in perms], degree
 
 
-def generator_file_path(name: str, data_dir=None) -> str:
-    directory = data_dir or os.environ.get(DATA_ENV_VAR) or _DATA_DIR
-    return os.path.join(directory, f"{name}.txt")
+def generator_file_path(name: str) -> str:
+    return os.path.join(os.environ.get(DATA_ENV_VAR) or _DATA_DIR, f"{name}.txt")
 
 
-def load_group(name: str, data_dir=None) -> PermGroup:
-    """Load and build a group from its generator file (``alt7`` or ``m11``)."""
-    with open(generator_file_path(name, data_dir), encoding="ascii") as handle:
-        text = handle.read()
-    return PermGroup(*parse_generator_file(text))
+def load_group(name: str) -> PermGroup:
+    """The group of a generator file (``alt7`` or ``m11``), cached per resolved
+    path: a process that points ``CURVEBOUND_DATA`` elsewhere reads that file."""
+    return _group_at(generator_file_path(name))
+
+
+@lru_cache(maxsize=None)
+def _group_at(path: str) -> PermGroup:
+    with open(path, encoding="ascii") as handle:
+        return PermGroup(*parse_generator_file(handle.read()))

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import time
 
 import jsonschema
 import pytest
 
-from curvebound import classical, cli, permgroup
+from curvebound import cli, permgroup
 
 
 def run(argv, capsys):
@@ -127,6 +128,8 @@ GENERATOR_FILE_DEFECTS = {
     "bad header": ("degree: x\n(1,2,3)\n", "invalid literal for int()"),
     "empty": ("# no generators\n\n", "no generators"),
     "not ascii": ("(1,2,3) \u2192\n", "codec can't decode"),
+    "degree over cap": ("degree: 1000000\n(1,2,3)\n", "degree 1000000 exceeds the cap of 100"),
+    "point over cap": ("(1,2,3)\n(4,5,101)\n", "degree 101 exceeds the cap of 100"),
 }
 
 
@@ -134,19 +137,21 @@ GENERATOR_FILE_DEFECTS = {
 @pytest.mark.parametrize("argv", [["group-audit", "m11"], ["enumerate", "--group", "m11", "--char", "3"]],
                          ids=["group-audit", "enumerate"])
 def test_generator_file_defects_exit_2(argv, defect, tmp_path, monkeypatch, capsys):
-    classical.sporadic_group("m11")  # the shipped group is cached first and must not be reused
+    permgroup.load_group("m11")  # the shipped group is cached first and must not be reused
     text, message = GENERATOR_FILE_DEFECTS[defect]
     if text is not None:
         (tmp_path / "m11.txt").write_text(text, encoding="utf-8")
     monkeypatch.setenv(permgroup.DATA_ENV_VAR, str(tmp_path))
+    start = time.perf_counter()
     code, out, err = run(argv + ["--format", "json"], capsys)
+    assert time.perf_counter() - start < 1.0  # refused at once, however large the file claims to be
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot read generator file:")
     assert message in err
 
 
 def test_wrong_generator_group(tmp_path, monkeypatch, capsys):
-    classical.sporadic_group("m11")
+    permgroup.load_group("m11")
     (tmp_path / "m11.txt").write_text("(1,2)\n(3,4)\n")
     monkeypatch.setenv(permgroup.DATA_ENV_VAR, str(tmp_path))
     code, out, err = run(["enumerate", "--group", "m11", "--char", "3"], capsys)
@@ -155,6 +160,23 @@ def test_wrong_generator_group(tmp_path, monkeypatch, capsys):
     code, out, _ = run(["group-audit", "m11", "--format", "json"], capsys)
     assert code == 1  # a file that builds the wrong group is a failed verdict for the audit
     assert json.loads(out)["verdict_summary"] == "fails"
+
+
+def test_same_order_other_group_is_refused(tmp_path, monkeypatch, capsys):
+    # one permutation of cycle type 16+9+5+11: a cyclic group of order 7920 = |M11|
+    cycles = [range(1, 17), range(17, 26), range(26, 31), range(31, 42)]
+    (tmp_path / "m11.txt").write_text("".join(f"({','.join(map(str, c))})" for c in cycles) + "\n")
+    monkeypatch.setenv(permgroup.DATA_ENV_VAR, str(tmp_path))
+    code, out, err = run(["enumerate", "--group", "m11", "--char", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: the m11 generator file builds a group whose element orders are not [1, 2, 3, 4, 5, 6, 8, 11]\n"
+    code, out, _ = run(["group-audit", "m11", "--format", "json"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict_summary"] == "fails"
+    by_anchor = {row["anchor"]: row for row in doc["rows"]}
+    assert by_anchor["order by stabilizer chain"]["verdict"] == "holds"
+    assert by_anchor["element order set"]["verdict"] == "fails"
 
 
 @pytest.mark.parametrize("order, genus, message", [("7920", "1", "genus must be at least 2"),

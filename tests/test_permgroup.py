@@ -140,10 +140,23 @@ def test_element_order_set_closed_under_divisors(m11, alt7):
                     assert d in orders
 
 
+def normalizer_walk_sylow(group, p):
+    """Reference: from the trivial group, join the least p-element of the current
+    subgroup's normalizer outside it, rebuilding the normalizer at every stage."""
+    p_part = p ** dict(factorize(group.order())).get(p, 0)
+    current = PermGroup([], group.degree)
+    while current.order() < p_part:
+        y = next(y for y in group.normalizer(current).elements()
+                 if p_part % y.order() == 0 and y not in current)
+        current = PermGroup(current.generators + (y,), group.degree)
+    return current
+
+
 def test_sylow_divides_and_is_full_p_part(alt7, m11):
     for group, primes in ((alt7, (2, 3, 5, 7)), (m11, (2, 3, 5, 11))):
         for p in primes:
             syl = group.sylow_subgroup(p)
+            assert syl.elements() == normalizer_walk_sylow(group, p).elements()
             order = group.order()
             p_part = 1
             while order % p == 0:
@@ -435,6 +448,7 @@ def test_sylow_and_p_subgroups_random_groups(gens):
     for p, k in factorize(group.order()):
         sylow = group.sylow_subgroup(p)
         assert sylow.order() == p**k
+        assert sylow.elements() == normalizer_walk_sylow(group, p).elements()
         assert all(g in group for g in sylow.generators)
         reps = p_subgroup_class_reps(group, p)
         keys = [q.elements() for q in reps]
