@@ -12,18 +12,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import permgroup
-from .fppoly import factorize
+from .fppoly import factor_prime_power
 
 FAMILIES = ("PSL2", "PGL2", "PSL3", "PGL3", "PSU3", "PGU3", "ALT7", "M11")
 SPORADIC_WILD_PRIMES = {"ALT7": (3, 5, 7), "M11": (3, 5, 11)}
-
-
-def factor_prime_power(q: int):
-    """(d, k) with q = d^k and d prime; raises if q is not a prime power."""
-    factors = factorize(q)
-    if len(factors) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return factors[0]
 
 
 def field_aut_divisors(q: int):

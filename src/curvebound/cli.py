@@ -4,7 +4,7 @@ Reports serialize deterministically (sorted keys, fixed separators), so a
 rerun on identical inputs is byte-identical.  JSON is the stable format and
 follows the schema shipped in ``data/report-schema-v1.json``; CSV uses
 RFC 4180 quoting; the text format is for reading and carries no stability
-guarantee.
+guarantee.  Each command imports only the layers it runs.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-from . import bounds, classical, permgroup, prank, ramification
 
 SCHEMA_VERSION = "1"
 
@@ -104,6 +102,7 @@ def _csv_cell(value):
 @contextmanager
 def _generator_file(name: str):
     """Yield the file's path; failing to read, parse or build it is a usage error."""
+    from . import permgroup
     path = permgroup.generator_file_path(name)
     try:
         yield path
@@ -124,6 +123,7 @@ def _digest(*parts: str) -> str:
 
 
 def cmd_enumerate(group: str, char: int) -> Report:
+    from . import classical, permgroup, ramification
     if group not in EXPECTED:
         raise UsageError(f"unknown group {group!r} (choose alt7 or m11)")
     wild = classical.SPORADIC_WILD_PRIMES[group.upper()]
@@ -177,6 +177,7 @@ def cmd_enumerate(group: str, char: int) -> Report:
 
 
 def cmd_group_audit(name: str) -> Report:
+    from . import classical, permgroup
     if name not in EXPECTED:
         raise UsageError(f"unknown group {name!r} (choose alt7 or m11)")
     with _generator_file(name) as path:
@@ -228,6 +229,7 @@ def cmd_group_audit(name: str) -> Report:
 
 
 def cmd_bounds(chain: str, order: int | None = None, genus: int | None = None) -> Report:
+    from . import bounds
     if order is not None or genus is not None:
         if order is None or genus is None:
             raise UsageError("classification needs both --order and --genus")
@@ -271,6 +273,7 @@ def cmd_bounds(chain: str, order: int | None = None, genus: int | None = None) -
 
 
 def cmd_prank(curve: str, p: int, oracle: bool = False) -> Report:
+    from . import prank
     try:
         model = prank.parse_curve(curve, p)
     except (ValueError, prank.UnsupportedModelError) as exc:

@@ -32,6 +32,14 @@ def factorize(n: int):
     return tuple(out)
 
 
+def factor_prime_power(q: int):
+    """(d, k) with q = d^k and d prime; raises if q is not a prime power."""
+    factors = factorize(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return factors[0]
+
+
 @lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
     return factorize(n) == ((n, 1),)

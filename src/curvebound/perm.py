@@ -1,7 +1,13 @@
 """Permutations of {1..n}, stored 0-based, with cycle-notation parsing.
 
-Values are immutable and hashable; all operations return new objects, so
-sharing permutations across threads is safe.
+A ``Permutation`` is the tuple of its images: ``p[i]`` is the image of
+point i and ``len(p)`` is its degree.  It compares, hashes and sorts as that
+tuple, so it equals a plain tuple with the same images.  Only the public
+constructor ``Permutation(images)`` checks that the images are a
+permutation; products, inverses, conjugates, powers, identities and
+extensions are built from images that are one by construction, without the
+check.  Values are immutable; all operations return new objects, so sharing
+permutations across threads is safe.
 
 Composition is left-to-right: ``(p * q)(x) = q(p(x))``.
 """
@@ -19,25 +25,24 @@ class DegreeMismatchError(ValueError):
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*[, ]\s*\d+)*)\s*\)")
 
 
-class Permutation:
-    __slots__ = ("images",)
+class Permutation(tuple):
+    __slots__ = ()
 
     def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+        if sorted(self) != list(range(len(self))):
+            raise ValueError(f"not a permutation of 0..{len(self) - 1}: {tuple(self)!r}")
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
+
+    @property
+    def images(self) -> tuple:
+        return tuple(self)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
+        return tuple.__new__(cls, range(degree))
 
     @classmethod
     def from_cycles(cls, cycles, degree: int = 0) -> "Permutation":
@@ -73,29 +78,27 @@ class Permutation:
 
     def extended(self, degree: int) -> "Permutation":
         """The same permutation acting on a larger point set."""
-        if degree < self.degree:
+        if degree < len(self):
             raise ValueError("cannot shrink a permutation")
-        return Permutation(self.images + tuple(range(self.degree, degree)))
+        return tuple.__new__(Permutation, (*self, *range(len(self), degree)))
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
+    __call__ = tuple.__getitem__
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise DegreeMismatchError(f"degree {self.degree} != {other.degree}")
-        o = other.images
-        return Permutation(tuple(o[i] for i in self.images))
+        if len(self) != len(other):
+            raise DegreeMismatchError(f"degree {len(self)} != {len(other)}")
+        return tuple.__new__(Permutation, map(other.__getitem__, self))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
             inv[j] = i
-        return Permutation(inv)
+        return tuple.__new__(Permutation, inv)
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
             return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
+        result = Permutation.identity(len(self))
         square = self
         while k:
             if k & 1:
@@ -106,53 +109,55 @@ class Permutation:
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """g^-1 * self * g, built in one pass: it sends g(i) to g(self(i))."""
-        if self.degree != g.degree:
-            raise DegreeMismatchError(f"degree {self.degree} != {g.degree}")
-        gi = g.images
-        images = [0] * self.degree
-        for i, j in enumerate(self.images):
-            images[gi[i]] = gi[j]
-        return Permutation(images)
+        if len(self) != len(g):
+            raise DegreeMismatchError(f"degree {len(self)} != {len(g)}")
+        images = [0] * len(self)
+        for i, j in enumerate(self):
+            images[g[i]] = g[j]
+        return tuple.__new__(Permutation, images)
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self == tuple(range(len(self)))
 
     def cycles(self):
         """Nontrivial cycles as 1-based tuples, each starting at its least point."""
         seen = set()
         out = []
-        for i in range(self.degree):
-            if i in seen or self.images[i] == i:
+        for i in range(len(self)):
+            if i in seen or self[i] == i:
                 continue
             cyc = [i]
-            j = self.images[i]
+            j = self[i]
             while j != i:
                 seen.add(j)
                 cyc.append(j)
-                j = self.images[j]
+                j = self[j]
             out.append(tuple(k + 1 for k in cyc))
         return out
 
     def order(self) -> int:
-        return lcm(1, *(len(c) for c in self.cycles()))
+        """The lcm of the cycle lengths, found by one walk over the points."""
+        seen = bytearray(len(self))
+        lengths = set()
+        for start in range(len(self)):
+            if seen[start]:
+                continue
+            j, length = start, 0
+            while not seen[j]:
+                seen[j] = 1
+                j = self[j]
+                length += 1
+            lengths.add(length)
+        return lcm(*lengths)
 
     def is_even(self) -> bool:
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
     def min_moved(self):
-        for i, j in enumerate(self.images):
+        for i, j in enumerate(self):
             if i != j:
                 return i
         return None
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __lt__(self, other):
-        return self.images < other.images
 
     def __repr__(self):
         cycs = self.cycles()

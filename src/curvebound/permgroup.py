@@ -8,17 +8,22 @@ Adding a generator reruns it on the base point and passes each Schreier
 generator that is not yet a member down to the stabilizer, so every level
 generates exactly the stabilizer of its base point.  Point stabilizers,
 normalizers (stabilizers of an element set under conjugation) and subgroup
-class sizes (orbit lengths) come from the same routine.  Order, membership
+class sizes (orbit lengths) come from the same routine.  Each conjugation
+orbit of subgroups is computed once per group: the normalizer of any other
+point of the orbit is a conjugate of the first one's.  Order, membership
 and solvability are derived from the chain.  A Sylow subgroup grows by the
 least p-element of the group's sorted elements that normalizes it and lies
 outside it; the p-subgroups inside it are chains grown one generator at a
 time, and simplicity is decided by normal closures of elements of prime
 order in Sylow centres.  No group fact is ever read from a table.
 
-Groups are immutable once constructed and every operation is pure, so shared
-instances are safe under concurrent use.  Generators are added in sorted
-order (a Sylow subgroup's in growth order) and Schreier generators are taken
-sorted, which makes every output bit-identical across runs.
+A group's generators and chain are fixed once it is constructed.  Three
+caches are filled on first use, and an entry once written never changes:
+the sorted elements, the element-order set, and the normalizers by
+conjugation orbit.  A race can only compute an entry twice, with equal
+results, so shared instances are safe under concurrent use.  Generators are
+added in sorted order (a Sylow subgroup's in growth order) and Schreier
+generators are taken sorted, which makes every output bit-identical.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ class PermGroup:
         self._order = 1
         self._elements = None
         self._element_orders = None
+        self._normalizers = {}  # each subgroup element set met -> (t, N(H0)); see _orbit_entry
         for g in sorted(set(generators)):
             if g not in self:
                 self._add(g)
@@ -80,7 +86,7 @@ class PermGroup:
         if self._stabilizer is None:
             self._base_point = g.min_moved()
             self._stabilizer = PermGroup([], self.degree)
-        self._transversal, schreier = self._orbit(self._base_point, lambda pt, h: h(pt))
+        self._transversal, schreier = self._orbit(self._base_point, lambda pt, h: h[pt])
         for s in schreier:
             if s not in self._stabilizer:
                 self._stabilizer._add(s)
@@ -182,7 +188,7 @@ class PermGroup:
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         """Stabilizer of a point (0-based)."""
-        _, schreier = self._orbit(point, lambda pt, g: g(pt))
+        _, schreier = self._orbit(point, lambda pt, g: g[pt])
         return PermGroup(schreier, self.degree)
 
     # -- derived structure ---------------------------------------------------
@@ -269,14 +275,29 @@ class PermGroup:
         return sylow
 
     def normalizer(self, subgroup: "PermGroup") -> "PermGroup":
-        """N_G(H): the stabilizer of H's element set under conjugation."""
-        _, schreier = self._conjugates_of(subgroup)
-        return PermGroup(schreier, self.degree)
+        """N_G(H): the stabilizer of H's element set under conjugation.
+
+        The group itself when H is normal; otherwise t^-1 N(H0) t, where the
+        conjugation orbit of H was found from H0 and t carries H0 to H.
+        """
+        t, root = self._orbit_entry(subgroup)
+        if t.is_identity():
+            return root
+        return PermGroup([n.conjugate(t) for n in root.generators], self.degree)
 
     def conjugacy_class_size_of_subgroup(self, subgroup: "PermGroup") -> int:
-        """Number of G-conjugates of H: the length of its conjugation orbit."""
-        transversal, _ = self._conjugates_of(subgroup)
-        return len(transversal)
+        """Number of G-conjugates of H: |G| / |N_G(H)|, its conjugation-orbit length."""
+        return self._order // self._orbit_entry(subgroup)[1]._order
+
+    def _orbit_entry(self, subgroup):
+        """(t, N(H0)) with H = t^-1 H0 t, H0 the first subgroup of H's conjugation orbit met."""
+        key = frozenset(subgroup.elements())
+        if key not in self._normalizers:
+            transversal, schreier = self._conjugates_of(subgroup)
+            root = self if len(transversal) == 1 else PermGroup(schreier, self.degree)
+            for conjugate, t in transversal.items():
+                self._normalizers[conjugate] = (t, root)
+        return self._normalizers[key]
 
     def _conjugates_of(self, subgroup):
         if subgroup.degree != self.degree:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .classical import GroupFacts, factor_prime_power
+from .fppoly import factor_prime_power
 
 HURWITZ_COEFF = 84
 
@@ -132,8 +132,8 @@ class Candidate:
     small_wild_part: bool
 
 
-def enumerate_case_iii(facts: GroupFacts):
-    """All integral-genus two-point signatures: one wild and one tame branch.
+def enumerate_case_iii(facts):
+    """All integral-genus two-point signatures of a GroupFacts: one wild and one tame branch.
 
     The quotient is rational; candidates with integral g >= 2 are kept and
     annotated, in canonical (e1, e2) order.  Output is deterministic.
@@ -167,7 +167,7 @@ def enumerate_case_iii(facts: GroupFacts):
     return out
 
 
-def case_i_ii_coefficient(facts: GroupFacts) -> Fraction:
+def case_i_ii_coefficient(facts) -> Fraction:
     """max over the wild catalog of 2*E1*q1/(q1 - 2).
 
     In the one-wild-point cases the group order equals this coefficient times

@@ -2,11 +2,15 @@
 
 A module may not import an underscore name from a sibling module (private
 helpers stay private to their module), and may not import a name it never
-uses.
+uses.  A CLI process loads only the layers its subcommand runs, checked in a
+fresh interpreter.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -46,3 +50,30 @@ def test_import_findings_detect_both_faults():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_package_imports_are_clean(module):
     assert import_findings((SRC / module).read_text()) == []
+
+
+def modules_loaded_by(code: str):
+    """The curvebound modules a fresh interpreter holds after running ``code``, stdout silenced."""
+    script = ("import contextlib, io, sys\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              + "".join(f"    {line}\n" for line in code.splitlines())
+              + "print(' '.join(m for m in sys.modules if m.startswith('curvebound')))\n")
+    path = os.pathsep.join([str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    return {name.removeprefix("curvebound.") for name in done.stdout.split()}
+
+
+def test_cli_import_loads_no_layer():
+    assert modules_loaded_by("import curvebound.cli") == {"curvebound", "cli"}
+
+
+def test_prank_loads_no_group_layer():
+    loaded = modules_loaded_by("from curvebound import cli\n"
+                               "cli.main(['prank', '--p', '3', '--curve', 'y^2=x^5-x'])")
+    assert loaded.isdisjoint({"perm", "permgroup", "classical", "bounds"})
+
+
+def test_group_audit_loads_neither_bounds_nor_prank():
+    loaded = modules_loaded_by("from curvebound import cli\ncli.main(['group-audit', 'alt7'])")
+    assert "permgroup" in loaded and loaded.isdisjoint({"bounds", "prank"})

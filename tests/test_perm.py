@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,3 +86,40 @@ def test_conjugate_moves_cycles():
     g = Permutation.parse("(1,2,3)", 5)
     s = Permutation.parse("(3,4)", 5)
     assert g.conjugate(s) == Permutation.parse("(1,2,4)", 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(perms(6), perms(6))
+def test_compares_and_hashes_as_its_images(a, b):
+    assert hash(a) == hash(a.images)
+    assert (a < b) == (a.images < b.images)
+    assert (a == b) == (a.images == b.images)
+    assert a == a.images and len(a) == a.degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(perms(6), perms(6), st.integers(min_value=-6, max_value=12))
+def test_derived_permutations_are_valid_permutations(a, b, k):
+    for x in (a * b, a.inverse(), a.conjugate(b), a**k, Permutation.identity(6), a.extended(9)):
+        assert type(x) is Permutation
+        assert Permutation(tuple(x)) == x
+
+
+def test_public_constructor_validates():
+    for bad in ([0, 0, 1], [1, 2], (i for i in (0, 2, 2))):
+        with pytest.raises(ValueError):
+            Permutation(bad)
+
+
+def test_attributes_cannot_be_assigned():
+    g = Permutation.parse("(1,2)", 3)
+    for name in ("images", "degree", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, (0, 1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(perms(9))
+def test_order_is_lcm_of_cycle_lengths(a):
+    assert a.order() == math.lcm(1, *(len(c) for c in a.cycles()))
+    assert (a ** a.order()).is_identity()

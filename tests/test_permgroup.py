@@ -2,14 +2,19 @@
 
 import math
 import random
+import shutil
 
 import pytest
 
+from curvebound.classical import sporadic_facts
+from curvebound.cli import cmd_group_audit
 from curvebound.fppoly import factorize
 from curvebound.perm import DegreeMismatchError, Permutation
 from curvebound.permgroup import (
+    DATA_ENV_VAR,
     PermGroup,
     closure_elements,
+    generator_file_path,
     max_solvable_with_cyclic_complement,
     p_subgroup_class_reps,
     parse_generator_file,
@@ -192,19 +197,63 @@ def test_normalizer_rejects_non_subgroup():
         s4.normalizer(outside)
 
 
-def brute_normalizer_order(closure, subgroup):
-    """Oracle: |N_G(H)| by filtering the exhaustive closure of G by conjugation."""
+def brute_normalizer(closure, subgroup):
+    """Oracle: N_G(H) as the elements of the exhaustive closure of G that conjugate H into itself."""
     h_set = set(subgroup.elements())
-    return sum(all(h.conjugate(g) in h_set for h in subgroup.generators) for g in closure)
+    return {g for g in closure if all(h.conjugate(g) in h_set for h in subgroup.generators)}
+
+
+def check_normalizers_against_brute_scan(group):
+    """Every p-subgroup from ``p_subgroup_class_reps``, at every prime, against the brute scan."""
+    closure = closure_elements(list(group.generators), group.degree)
+    for p, _ in factorize(group.order()):
+        for sub in [group.sylow_subgroup(p)] + p_subgroup_class_reps(group, p):
+            normalizer = group.normalizer(sub)
+            assert set(normalizer.elements()) == brute_normalizer(closure, sub)
+            assert group.conjugacy_class_size_of_subgroup(sub) * normalizer.order() == group.order()
 
 
 @pytest.mark.parametrize("name", ["alt7", "m11"])
 def test_normalizer_against_brute_scan(name, request):
+    check_normalizers_against_brute_scan(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("name", ["alt7", "m11"])
+def test_normalizer_of_a_conjugate_does_not_depend_on_the_cache(name, request):
+    """N(H) and N(H^g) are the same groups whichever of the two is asked for first."""
     group = request.getfixturevalue(name)
-    closure = closure_elements(list(group.generators), group.degree)
-    for p in {"alt7": (2, 3, 5, 7), "m11": (2, 3, 5, 11)}[name]:
-        for sub in [group.sylow_subgroup(p)] + p_subgroup_class_reps(group, p):
-            assert group.normalizer(sub).order() == brute_normalizer_order(closure, sub)
+    for p, _ in factorize(group.order()):
+        sub = p_subgroup_class_reps(group, p)[0]
+        g = next(g for g in group.elements() if any(h.conjugate(g) not in sub for h in sub.generators))
+        conj = group.subgroup([h.conjugate(g) for h in sub.generators])
+        first, second = PermGroup(group.generators), PermGroup(group.generators)
+        sub_first, conj_cached = first.normalizer(sub), first.normalizer(conj)
+        conj_first, sub_cached = second.normalizer(conj), second.normalizer(sub)
+        assert sub_first.elements() == sub_cached.elements()
+        assert conj_first.elements() == conj_cached.elements()
+        assert set(conj_first.elements()) == {n.conjugate(g) for n in sub_first.elements()}
+
+
+def test_each_conjugation_orbit_is_computed_once(tmp_path, monkeypatch):
+    """group-audit m11 meets 4 orbits of subgroups and the M11 facts at p = 3 meet 2."""
+    calls = []
+    conjugates_of = PermGroup._conjugates_of
+    monkeypatch.setattr(PermGroup, "_conjugates_of", lambda self, sub: calls.append(sub) or conjugates_of(self, sub))
+    cmd_group_audit("m11")
+    assert len(calls) == 4
+    # a data directory of its own, so the loader builds a group with an empty cache
+    shutil.copy(generator_file_path("m11"), tmp_path)
+    monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
+    calls.clear()
+    sporadic_facts("M11", 3)
+    assert len(calls) == 2
+
+
+def test_normalizer_of_a_normal_subgroup_is_the_group(alt7):
+    assert alt7.normalizer(alt7) is alt7
+    s4 = sym(4)
+    v4 = s4.subgroup([Permutation.parse("(1,2)(3,4)", 4), Permutation.parse("(1,3)(2,4)", 4)])
+    assert s4.normalizer(v4) is s4
 
 
 S4_SUBGROUPS = [
@@ -339,6 +388,11 @@ def test_random_groups_against_closure(gens):
         assert set(level._stabilizer.elements()) == {x for x in level.elements() if x(point) == point}
         level = level._stabilizer
     assert level.is_trivial()
+
+
+@pytest.mark.parametrize("gens", RANDOM_SETS)
+def test_normalizer_against_brute_scan_random_groups(gens):
+    check_normalizers_against_brute_scan(PermGroup(gens, gens[0].degree))
 
 
 @pytest.mark.parametrize("gens", RANDOM_SETS)
