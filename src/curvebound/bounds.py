@@ -1,11 +1,12 @@
 """Exact-arithmetic auditor for the bound chains on even-genus ordinary curves.
 
-Every verdict is decided over the integers: decimal constants are exact
-rationals, fractional exponents are cleared by raising both positive sides to
-the exponent denominator, and radicals only ever appear as integer radicands
-under a cleared root.  Calculus facts (the logarithm estimates used to bound
-the field-automorphism factor) are recorded as analytic lemmas and are not
-part of any arithmetic verdict.
+Every verdict is decided over the integers: fractional exponents are cleared
+by raising both positive sides to the exponent denominator, each cleared side
+is a (numerator, positive denominator) pair of ints, and ``_sign`` compares
+two pairs by cross-multiplication.  Fractions appear only at the registry's
+inputs (decimal constants as exact rationals) and as the return value of
+``exp_upper``.  Calculus facts (the logarithm estimates used to bound the
+field-automorphism factor) are analytic lemmas, outside every verdict.
 
 The registry stores each chain step in the normalization the source argument
 uses.  A handful of printed steps are genuinely false as stated; they are
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from math import factorial, gcd, isqrt, lcm
 
 from .classical import FamilySpec, family_order
 from .fppoly import factorize
@@ -47,22 +49,33 @@ class PowerBound:
             raise ValueError("power bound must be positive with non-negative exponent")
 
 
-def _raised(b: PowerBound, g: int, power: int) -> Fraction:
-    """bound(g)**power exactly; power must be a multiple of b.den."""
+def _sign(x, y) -> int:
+    """Sign of x - y for (numerator, positive denominator) pairs of ints."""
+    lhs, rhs = x[0] * y[1], y[0] * x[1]
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _pair(r):
+    """An exact rational (int or Fraction) as a (numerator, denominator) pair."""
+    return r.numerator, r.denominator
+
+
+def _raised(b: PowerBound, g: int, power: int):
+    """bound(g)**power exactly, as a pair; power must be a multiple of b.den."""
     if power % b.den != 0:
         raise ValueError("power does not clear the root")
     base = g + b.shift
     if base < 0:
         raise ValueError(f"g + shift negative at g={g}")
     k = power // b.den
-    return F(b.coeff) ** power * F(b.mult) ** k * F(base) ** (b.num * k)
+    return b.coeff.numerator**power * b.mult**k * base ** (b.num * k), b.coeff.denominator**power
 
 
 def holds_at(b: PowerBound, value: int, g: int) -> bool:
     """Exact test value < bound(g), decided by clearing the root."""
     if g + b.shift < 0 or value < 0:
         raise ValueError("operands must be non-negative")
-    return F(value) ** b.den < _raised(b, g, b.den)
+    return _sign((value**b.den, 1), _raised(b, g, b.den)) < 0
 
 
 def _cleared(b1: PowerBound, b2: PowerBound):
@@ -75,13 +88,11 @@ def _cleared(b1: PowerBound, b2: PowerBound):
 def compare_at(b1: PowerBound, b2: PowerBound, g: int) -> int:
     """Sign of b1(g) - b2(g), decided exactly."""
     power = _cleared(b1, b2)[0]
-    lhs = _raised(b1, g, power)
-    rhs = _raised(b2, g, power)
-    return (lhs > rhs) - (lhs < rhs)
+    return _sign(_raised(b1, g, power), _raised(b2, g, power))
 
 
 def _split_point(b1: PowerBound, b2: PowerBound):
-    """The single extremum of the cleared log-difference, None if there is none.
+    """Floor of the single extremum of the cleared log-difference, None if there is none.
 
     After clearing roots the comparison is A*(g+s1)^alpha vs B*(g+s2)^beta;
     beta*ln(g+s2) - alpha*ln(g+s1) has at most one stationary point, at
@@ -91,7 +102,7 @@ def _split_point(b1: PowerBound, b2: PowerBound):
     _, alpha, beta = _cleared(b1, b2)
     if alpha == beta:
         return None
-    return F(alpha * b2.shift - beta * b1.shift, beta - alpha)
+    return (alpha * b2.shift - beta * b1.shift) // (beta - alpha)
 
 
 @dataclass(frozen=True)
@@ -117,22 +128,24 @@ def dominates(b1: PowerBound, b2: PowerBound, g_min: int, g_max=None) -> AuditRe
     """
     if g_max is not None and g_max < g_min:
         raise ValueError("empty range")
-    star = _split_point(b1, b2)
+    lo = _split_point(b1, b2)
     checkpoints = {g_min}
     if g_max is not None:
         checkpoints.add(g_max)
-    if star is not None:
-        lo = int(star)
-        for c in (lo - 1, lo, lo + 1, lo + 2):
-            if c >= g_min and (g_max is None or c <= g_max):
-                checkpoints.add(c)
+    if lo is not None:
+        checkpoints.update(c for c in range(lo - 1, lo + 3) if c >= g_min and (g_max is None or c <= g_max))
+    tail = _sign_at_infinity(b1, b2)
+    rel = {1: "reverses", -1: "persists", 0: "is exact equality"}[tail]
+    note = f"tail: exponents {b1.num}/{b1.den} vs {b2.num}/{b2.den}, dominance {rel} at infinity"
+    good = None
     for c in sorted(checkpoints):
         if compare_at(b1, b2, c) >= 0:
-            witness = _smallest_failure(b1, b2, g_min, c)
-            return AuditReport("dominates", "fails", witness, note=_tail_note(b1, b2))
-    if g_max is None and _sign_at_infinity(b1, b2) >= 0:
-        return AuditReport("dominates", "holds-on-range", note="dominance degrades at infinity; " + _tail_note(b1, b2))
-    return AuditReport("dominates", "holds", note=_tail_note(b1, b2))
+            witness = c if good is None else _smallest_failure(b1, b2, good, c)
+            return AuditReport("dominates", "fails", witness, note=note)
+        good = c
+    if g_max is None and tail >= 0:
+        return AuditReport("dominates", "holds-on-range", note="dominance degrades at infinity; " + note)
+    return AuditReport("dominates", "holds", note=note)
 
 
 def _sign_at_infinity(b1: PowerBound, b2: PowerBound) -> int:
@@ -140,28 +153,27 @@ def _sign_at_infinity(b1: PowerBound, b2: PowerBound) -> int:
     power, alpha, beta = _cleared(b1, b2)
     if alpha != beta:
         return 1 if alpha > beta else -1
-    lhs = F(b1.coeff) ** power * F(b1.mult) ** (power // b1.den)
-    rhs = F(b2.coeff) ** power * F(b2.mult) ** (power // b2.den)
-    if lhs != rhs:
-        return 1 if lhs > rhs else -1
-    if b1.shift != b2.shift and alpha > 0:
-        return 1 if b1.shift > b2.shift else -1
-    return 0
+    # at base g + shift = 1 the cleared sides are their constant factors
+    lead = _sign(_raised(b1, 1 - b1.shift, power), _raised(b2, 1 - b2.shift, power))
+    if lead or alpha == 0:
+        return lead
+    return (b1.shift > b2.shift) - (b1.shift < b2.shift)
 
 
-def _tail_note(b1: PowerBound, b2: PowerBound) -> str:
-    sign = _sign_at_infinity(b1, b2)
-    rel = {1: "reverses", -1: "persists", 0: "is exact equality"}[sign]
-    return f"tail: exponents {b1.num}/{b1.den} vs {b2.num}/{b2.den}, dominance {rel} at infinity"
+def _smallest_failure(b1: PowerBound, b2: PowerBound, good: int, bad: int) -> int:
+    """Least g in (good, bad] with b1(g) >= b2(g), by bisection.
 
-
-def _smallest_failure(b1: PowerBound, b2: PowerBound, g_min: int, known_bad: int):
-    g = g_min
-    while g <= known_bad:
-        if compare_at(b1, b2, g) >= 0:
-            return g
-        g += 1
-    return known_bad
+    b1 < b2 at the checkpoint ``good`` and not at the next one, ``bad``.  The
+    checkpoints bracket the extremum of the cleared log-difference, so the
+    difference is monotone on the integers of [good, bad].
+    """
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if compare_at(b1, b2, mid) >= 0:
+            bad = mid
+        else:
+            good = mid
+    return bad
 
 
 # -- exact polynomial positivity and series bounds --------------------------
@@ -183,34 +195,32 @@ def _integer_kth_root(n: int, k: int) -> int:
         x = y
 
 
-def _poly_eval(coeffs, x) -> Fraction:
-    acc = F(0)
+def _poly_eval(coeffs, x: int) -> int:
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
 def _lagrange_root_bound(coeffs) -> int:
-    """Integer upper bound for the real roots (positive leading coefficient)."""
+    """Integer upper bound for the real roots (integer coefficients, positive leading one)."""
     lead = coeffs[-1]
     n = len(coeffs) - 1
-    worst = 0
-    for i, c in enumerate(coeffs[:-1]):
-        if c < 0:
-            ratio = F(-c) / F(lead)
-            k = n - i
-            bound = _integer_kth_root(int(ratio) + 1, k) + 1
-            worst = max(worst, bound)
+    worst = max((_integer_kth_root(-c // lead + 1, n - i) + 1 for i, c in enumerate(coeffs[:-1]) if c < 0),
+                default=0)
     return 2 * worst + 1
 
 
 def poly_positive_from(coeffs, start: int) -> AuditReport:
     """Exact check that the polynomial is > 0 for every integer >= start.
 
-    Every integer up to a root bound is checked; beyond it the sign is the
-    (positive) leading coefficient's.
+    The rational coefficients are scaled once to integers by the lcm of
+    their denominators.  Every integer up to a root bound is checked; beyond
+    it the sign is the (positive) leading coefficient's.
     """
-    coeffs = [F(c) for c in coeffs]
+    coeffs = list(coeffs)
+    scale = lcm(*(c.denominator for c in coeffs))
+    coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
@@ -225,18 +235,23 @@ def poly_positive_from(coeffs, start: int) -> AuditReport:
 
 
 def exp_upper(x: Fraction) -> Fraction:
-    """Exact rational upper bound for e**x (0 <= x < 41): 40 Taylor terms and a geometric tail."""
+    """Exact rational upper bound for e**x (0 <= x < 41): 40 Taylor terms and a geometric tail.
+
+    With x = a/b the terms are summed over the common denominator 39! b^39,
+    and the tail x^40/40! / (1 - x/41) joins them over 40! b^39 (41b - a).
+    """
     x = F(x)
     if x < 0:
         raise ValueError("x must be non-negative")
     if x >= 41:
         raise ValueError("too few terms for the tail bound")
-    total = F(0)
-    term = F(1)
-    for k in range(40):
+    a, b = x.numerator, x.denominator
+    term = factorial(39) * b**39  # 39! b^39 x^k / k!, an integer for k <= 39
+    total = term
+    for k in range(1, 40):
+        term = term * a // (b * k)
         total += term
-        term = term * x / (k + 1)
-    return total + term / (1 - x / 41)
+    return F(total * 40 * (41 * b - a) + 41 * a * term, factorial(40) * b**39 * (41 * b - a))
 
 
 # -- small polynomial helpers for the registry tails -------------------------
@@ -289,8 +304,6 @@ class Step:
 
 def _min_even_genus(order_bound: int) -> int:
     """Smallest even g >= 2 with 84*g*(g-1) >= order_bound."""
-    from math import isqrt
-
     g = max(2, isqrt(order_bound // 84) - 2)
     g += g % 2
     while 84 * g * (g - 1) < order_bound:
@@ -303,18 +316,20 @@ def _min_even_genus(order_bound: int) -> int:
 # step checkers --------------------------------------------------------------
 
 
+def _verdict(step, ok: bool, witness=None):
+    return AuditReport(step.step_id, "holds" if ok else "fails", witness, note=step.note)
+
+
 def _const_step(step):
     coeff, radicand, root, rhs, strict = step.params
-    lhs = F(coeff) ** root * F(radicand)
-    rhs_pow = F(rhs) ** root
-    ok = lhs < rhs_pow if strict else lhs <= rhs_pow
-    return AuditReport(step.step_id, "holds" if ok else "fails", note=step.note)
+    lhs = (coeff.numerator**root * radicand.numerator, coeff.denominator**root * radicand.denominator)
+    sign = _sign(lhs, (rhs.numerator**root, rhs.denominator**root))
+    return _verdict(step, sign < 0 if strict else sign <= 0)
 
 
 def _arith_step(step):
     lhs, rhs = step.params
-    ok = F(lhs) == F(rhs)
-    return AuditReport(step.step_id, "holds" if ok else "fails", note=step.note)
+    return _verdict(step, lhs == rhs)
 
 
 def _even_genus_step(step):
@@ -340,33 +355,32 @@ def _poly_step(step):
 
 def _exp_step(step):
     base, x = step.params
-    ok = exp_upper(F(x)) < base
-    return AuditReport(step.step_id, "holds" if ok else "fails", note=step.note)
+    return _verdict(step, _sign(_pair(exp_upper(x)), _pair(base)) < 0)
 
 
 def _holds_at_step(step):
     bound, value, g, expect_true = step.params
     ok = holds_at(bound, value, g) == expect_true
-    return AuditReport(step.step_id, "holds" if ok else "fails", witness=None if ok else g, note=step.note)
+    return _verdict(step, ok, None if ok else g)
 
 
 def _per_q_step(step):
     order_fn, gm1_fn, coeff, num, den, q_list, tail_coeffs, _tail_start = step.params
+    bound = PowerBound(coeff, num=num, den=den)
     for q in q_list:
-        gm1 = gm1_fn(q)
-        if F(order_fn(q)) ** den >= F(coeff) ** den * F(gm1) ** num:
-            return AuditReport(step.step_id, "fails", witness=q, note=step.note)
+        if not holds_at(bound, order_fn(q), gm1_fn(q)):
+            return _verdict(step, False, q)
     if tail_coeffs is not None:
         tail = poly_positive_from(tail_coeffs, _tail_start)
         if tail.verdict != "holds":
             return AuditReport(step.step_id, "fails", witness=tail.witness,
                                note=step.note + " (tail polynomial)")
-    return AuditReport(step.step_id, "holds", note=step.note)
+    return _verdict(step, True)
 
 
 def _point_fail_step(step):
     lhs, rhs, witness = step.params
-    really_fails = F(lhs) >= F(rhs)
+    really_fails = _sign(_pair(lhs), _pair(rhs)) >= 0
     return AuditReport(step.step_id, "fails" if really_fails else "holds",
                        witness=witness if really_fails else None, note=step.note)
 
@@ -376,9 +390,7 @@ def _analytic_step(step):
 
 
 def _poly_zero_step(step):
-    (coeffs,) = step.params
-    ok = all(F(c) == 0 for c in coeffs)
-    return AuditReport(step.step_id, "holds" if ok else "fails", note=step.note)
+    return _verdict(step, all(c == 0 for c in step.params[0]))
 
 
 _KIND_DISPATCH = {
@@ -432,7 +444,9 @@ def _psl3_gm1(q):
     return q**3 * (q - 1) ** 2 * (q + 1) // delta // 30 + 1
 
 
-def _build_registry():
+@cache
+def registry():
+    """{chain id: [Step, ...]}, built on first use."""
     chains = {}
 
     def add(chain, *steps):
@@ -631,19 +645,10 @@ def _build_registry():
     return chains
 
 
-_REGISTRY = None
-
 REGISTRY_CONSTANTS = (
     "292.42", "508.64", "821.37", "47.2", "86.72", "133", "266", "345", "463",
     "290", "595.21", "720", "766", "961.09", "1750.24",
 )
-
-
-def registry():
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build_registry()
-    return _REGISTRY
 
 
 def chain_ids():
@@ -668,10 +673,7 @@ def audit_all():
 
 def chain_passes(chain_id: str) -> bool:
     """True iff every step verdict matches its frozen expectation."""
-    for step, report in zip(chain_steps(chain_id), audit_chain(chain_id)):
-        if report.verdict != step.expect:
-            return False
-    return True
+    return all(report.verdict == step.expect for step, report in zip(chain_steps(chain_id), audit_chain(chain_id)))
 
 
 # -- classification ----------------------------------------------------------
@@ -690,13 +692,10 @@ def classify(order_g: int, g: int):
         raise ValueError("genus must be at least 2")
     if order_g < 1:
         raise ValueError("order must be positive")
-    labels = set()
-    if order_g <= 84 * (g - 1):
-        labels.add("hurwitz")
-    if order_g <= 84 * g * (g - 1):
-        labels.add("nakajima")
-    if F(order_g) ** 2 <= F(34) ** 2 * F(g + 1) ** 3:
-        labels.add("solvable-3/2")
-    if holds_at(MAIN, order_g, g):
-        labels.add("main-7/4")
-    return labels
+    named = {
+        "hurwitz": order_g <= 84 * (g - 1),
+        "nakajima": order_g <= 84 * g * (g - 1),
+        "solvable-3/2": _sign((order_g**2, 1), (34**2 * (g + 1) ** 3, 1)) <= 0,
+        "main-7/4": holds_at(MAIN, order_g, g),
+    }
+    return {label for label, ok in named.items() if ok}

@@ -3,7 +3,8 @@
 The PSL/PGL/PSU/PGU orders, times an outer factor of field automorphisms,
 are exact integer formulas.  Facts about the two sporadic candidates (the
 alternating group on 7 points and the Mathieu group on 11 points) are always
-recomputed from their permutation representations, never read from a table.
+recomputed from their permutation representations, never read from a table;
+only those two paths import the group layer.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import permgroup
 from .fppoly import factor_prime_power
 
 FAMILIES = ("PSL2", "PGL2", "PSL3", "PGL3", "PSU3", "PGU3", "ALT7", "M11")
@@ -63,6 +63,8 @@ def family_order(spec: FamilySpec) -> int:
     """Exact order of the group described by ``spec``."""
     q = spec.q
     if spec.family in ("ALT7", "M11"):
+        from . import permgroup
+
         return permgroup.load_group(spec.family.lower()).order()
     if spec.family == "PSL2":
         base = q * (q - 1) * (q + 1) // 2
@@ -116,6 +118,8 @@ def sporadic_facts(name: str, p: int) -> GroupFacts:
         raise ValueError(f"unsupported sporadic group {name!r}")
     if p not in SPORADIC_WILD_PRIMES[key]:
         raise ValueError(f"unsupported characteristic {p} for {key}")
+    from . import permgroup
+
     group = permgroup.load_group(key.lower())
     wild = {
         (q.order(), e)

@@ -1,4 +1,7 @@
+import time
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import pytest
@@ -232,3 +235,157 @@ def test_power_bound_validation():
         PowerBound(F(1), den=0)
     with pytest.raises(ValueError):
         holds_at(HURWITZ, 10, 0)  # g + shift negative is refused at g < 1
+
+
+# -- the Fraction formulas the integer kernels replaced, kept as oracles ------
+
+
+def frac_raised(b: PowerBound, g: int, power: int) -> Fraction:
+    k = power // b.den
+    return F(b.coeff) ** power * F(b.mult) ** k * F(g + b.shift) ** (b.num * k)
+
+
+def frac_compare_at(b1, b2, g):
+    power = lcm(b1.den, b2.den)
+    lhs, rhs = frac_raised(b1, g, power), frac_raised(b2, g, power)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def frac_holds_at(b, value, g):
+    return F(value) ** b.den < frac_raised(b, g, b.den)
+
+
+def frac_sign_at_infinity(b1, b2):
+    power = lcm(b1.den, b2.den)
+    alpha, beta = b1.num * power // b1.den, b2.num * power // b2.den
+    if alpha != beta:
+        return 1 if alpha > beta else -1
+    lhs = F(b1.coeff) ** power * F(b1.mult) ** (power // b1.den)
+    rhs = F(b2.coeff) ** power * F(b2.mult) ** (power // b2.den)
+    if lhs != rhs:
+        return 1 if lhs > rhs else -1
+    if b1.shift != b2.shift and alpha > 0:
+        return 1 if b1.shift > b2.shift else -1
+    return 0
+
+
+def frac_poly_positive_from(coeffs, start):
+    """(verdict, witness) by Fraction evaluation up to the Lagrange root bound."""
+    coeffs = [F(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return "fails", start
+    lead, n = coeffs[-1], len(coeffs) - 1
+    if lead <= 0:
+        return "fails", None
+    worst = 0
+    for i, c in enumerate(coeffs[:-1]):
+        if c < 0:
+            worst = max(worst, bounds._integer_kth_root(int(F(-c) / lead) + 1, n - i) + 1)
+    for x in range(start, max(start, 2 * worst + 2) + 1):
+        acc = F(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        if acc <= 0:
+            return "fails", x
+    return "holds", None
+
+
+def frac_exp_upper(x):
+    total, term = F(0), F(1)
+    for k in range(40):
+        total += term
+        term = term * x / (k + 1)
+    return total + term / (1 - x / 41)
+
+
+def linear_smallest_failure(b1, b2, g_min, g_max):
+    """The least g in [g_min, g_max] with b1(g) >= b2(g), walking one g at a time; None if none."""
+    return next((g for g in range(g_min, g_max + 1) if compare_at(b1, b2, g) >= 0), None)
+
+
+@st.composite
+def power_bounds(draw, max_coeff=10**6, max_den=10**4, max_mult=90):
+    """Positive bounds with shift -1..1 and exponent num/den up to 17/12."""
+    den = draw(st.integers(1, 12))
+    return PowerBound(
+        F(draw(st.integers(1, max_coeff)), draw(st.integers(1, max_den))),
+        shift=draw(st.integers(-1, 1)),
+        num=draw(st.integers(0, 17 * den // 12)),
+        den=den,
+        mult=draw(st.integers(1, max_mult)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(power_bounds(), power_bounds(), st.integers(1, 10**12))
+def test_integer_kernels_match_fraction_oracle(b1, b2, g):
+    assert compare_at(b1, b2, g) == frac_compare_at(b1, b2, g)
+    # equal exponents reach the coefficient test, equal coefficients the shift test
+    for other in (b2, replace(b2, num=b1.num, den=b1.den), replace(b1, shift=b2.shift)):
+        assert bounds._sign_at_infinity(b1, other) == frac_sign_at_infinity(b1, other)
+
+
+@settings(max_examples=100, deadline=None)
+@given(power_bounds(), st.integers(1, 10**12), st.integers(0, 10**40))
+def test_holds_at_matches_fraction_oracle(b, g, value):
+    # the floor of the bound and one above it exercise the equality edge
+    cleared = frac_raised(b, g, b.den)
+    near = bounds._integer_kth_root(cleared.numerator // cleared.denominator, b.den)
+    for v in (value, near, near + 1):
+        assert holds_at(b, v, g) == frac_holds_at(b, v, g)
+
+
+@st.composite
+def rational_polys(draw):
+    """Fraction coefficients with unlike denominators, like the registry's pg0..pg2, leading one >= 1."""
+    lower = draw(st.lists(st.fractions(min_value=-1000, max_value=1000, max_denominator=50), max_size=3))
+    den = draw(st.integers(1, 10))
+    return lower + [F(draw(st.integers(den, 20 * den)), den)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_polys(), st.integers(0, 10))
+def test_poly_positive_matches_fraction_oracle(coeffs, start):
+    report = poly_positive_from(coeffs, start)
+    assert (report.verdict, report.witness) == frac_poly_positive_from(coeffs, start)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.fractions(min_value=0, max_value=41, max_denominator=10**4).filter(lambda x: x < 41))
+def test_exp_upper_equals_the_fraction_taylor_sum(x):
+    assert exp_upper(x) == frac_exp_upper(x)
+
+
+def test_exp_upper_refuses_out_of_range():
+    for x in (F(-1, 3), F(41), F(83, 2)):
+        with pytest.raises(ValueError):
+            exp_upper(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_bounds(max_coeff=200, max_den=20, max_mult=5), power_bounds(max_coeff=200, max_den=20, max_mult=5),
+       st.integers(1, 60), st.integers(0, 400))
+def test_bisected_witness_matches_linear_walk(b1, b2, g_min, width):
+    g_max = g_min + width
+    report = dominates(b1, b2, g_min, g_max)
+    first_bad = linear_smallest_failure(b1, b2, g_min, g_max)
+    assert report.verdict == ("holds" if first_bad is None else "fails")
+    assert report.witness == first_bad
+    unbounded = dominates(b1, b2, g_min)
+    if unbounded.verdict == "fails":
+        w = unbounded.witness
+        assert compare_at(b1, b2, w) >= 0 and (w == g_min or compare_at(b1, b2, w - 1) < 0)
+        assert w == first_bad if first_bad is not None else w > g_max
+    elif first_bad is not None:
+        # a failure that only the reversal at infinity reveals still carries no witness
+        assert unbounded.verdict == "holds-on-range"
+
+
+def test_bisected_witness_is_fast_on_a_wide_range():
+    start = time.perf_counter()
+    report = dominates(PowerBound(F(1), num=2), PowerBound(F(10**5)), 2, 10**9)
+    elapsed = time.perf_counter() - start
+    assert (report.verdict, report.witness) == ("fails", 10**5)
+    assert elapsed < 0.1

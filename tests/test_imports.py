@@ -77,3 +77,8 @@ def test_prank_loads_no_group_layer():
 def test_group_audit_loads_neither_bounds_nor_prank():
     loaded = modules_loaded_by("from curvebound import cli\ncli.main(['group-audit', 'alt7'])")
     assert "permgroup" in loaded and loaded.isdisjoint({"bounds", "prank"})
+
+
+def test_bounds_loads_no_group_layer():
+    loaded = modules_loaded_by("from curvebound import cli\ncli.main(['bounds', 'all'])")
+    assert "bounds" in loaded and loaded.isdisjoint({"perm", "permgroup"})
