@@ -365,10 +365,10 @@ def _holds_at_step(step):
 
 
 def _per_q_step(step):
-    order_fn, gm1_fn, coeff, num, den, q_list, tail_coeffs, _tail_start = step.params
+    orders, gm1_fn, coeff, num, den, tail_coeffs, _tail_start = step.params
     bound = PowerBound(coeff, num=num, den=den)
-    for q in q_list:
-        if not holds_at(bound, order_fn(q), gm1_fn(q)):
+    for q, order in orders.items():
+        if not holds_at(bound, order, gm1_fn(q)):
             return _verdict(step, False, q)
     if tail_coeffs is not None:
         tail = poly_positive_from(tail_coeffs, _tail_start)
@@ -531,7 +531,7 @@ def registry():
              (PowerBound(F(13352, 100), shift=1, num=7, den=4), PowerBound(F(266), num=7, den=4), 3, None)),
     )
 
-    psu_qs = tuple(q for q in range(5, 401, 4) if len(factorize(q)) == 1)
+    psu_orders = {q: family_order(FamilySpec("PSU3", q)) for q in range(5, 401, 4) if len(factorize(q)) == 1}
     add(
         "psu3",
         Step("psu.arith_order5", "arith", "|PSU(3,5)|", (family_order(FamilySpec("PSU3", 5)), 126000)),
@@ -551,7 +551,7 @@ def registry():
              note="even the leading term 240(g-1)(90(g-1))^(3/5) exceeds 242*90^(1/5)(g-1)^(8/5) at g = 40; "
                   "the net claim is validated per q in psu.assembly_perq"),
         Step("psu.assembly_perq", "per_q", "net bound |PSU3(q)| < 595.21 (g-1)^(8/5) on its branch",
-             (lambda q: family_order(FamilySpec("PSU3", q)), _psu_gm1, F(59521, 100), 8, 5, psu_qs, _expand_tail_psu(), 400),
+             (psu_orders, _psu_gm1, F(59521, 100), 8, 5, _expand_tail_psu(), 400),
              note="exact for prime powers q = 1 mod 4 up to 400; polynomial tail beyond"),
         Step("psu.s345", "dominates", "exponent drop 8/5 to 7/4 from g >= 40",
              (PowerBound(F(59521, 100), shift=-1, num=8, den=5), PowerBound(F(345), shift=-1, num=7, den=4), 40, None),
@@ -569,7 +569,7 @@ def registry():
              note="1750.24(g-1)^(17/10) < 766(g-1)^(7/4) for g >= 15378928"),
     )
 
-    psl3_qs = tuple(q for q in range(3, 401, 4) if len(factorize(q)) == 1)
+    pgl3_orders = {q: family_order(FamilySpec("PGL3", q)) for q in range(3, 401, 4) if len(factorize(q)) == 1}
     add(
         "psl3",
         Step("psl3.arith_order3", "arith", "|PSL(3,3)|", (family_order(FamilySpec("PSL3", 3)), 5616)),
@@ -590,7 +590,7 @@ def registry():
              note="180(g-1)((90(g-1))^(1/6)+1)^2 expands to 720*90^(1/3)(g-1)^(4/3), not 720(g-1)^(4/3); "
                   "the net claim is validated per q in psl3.assembly_perq"),
         Step("psl3.assembly_perq", "per_q", "net bound |PGL3(q)| < 290 (g-1)^(7/4) on its branch",
-             (lambda q: family_order(FamilySpec("PGL3", q)), _psl3_gm1, F(290), 7, 4, psl3_qs, _expand_tail_psl3(), 400),
+             (pgl3_orders, _psl3_gm1, F(290), 7, 4, _expand_tail_psl3(), 400),
              note="exact for prime powers q = 3 mod 4 up to 400; polynomial tail beyond"),
         Step("psl3.s290", "dominates", "printed final comparison, as stated",
              (PowerBound(F(720), shift=-1, num=4, den=3), PowerBound(F(290), shift=-1, num=7, den=4), 10, None),

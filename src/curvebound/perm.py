@@ -1,21 +1,25 @@
-"""Permutations of {1..n}, stored 0-based, with cycle-notation parsing.
+"""Permutations of {1..n}, stored 0-based as bytes, with cycle-notation parsing.
 
-A ``Permutation`` is the tuple of its images: ``p[i]`` is the image of
-point i and ``len(p)`` is its degree.  It compares, hashes and sorts as that
-tuple, so it equals a plain tuple with the same images.  Only the public
-constructor ``Permutation(images)`` checks that the images are a
-permutation; products, inverses, conjugates, powers, identities and
-extensions are built from images that are one by construction, without the
-check.  Values are immutable; all operations return new objects, so sharing
-permutations across threads is safe.
+A ``Permutation`` is the ``bytes`` of its images: ``p[i]`` is the image of
+point i and ``len(p)`` is its degree, at most 256.  Permutations of one
+degree sort as the tuples of their images; hashes follow the hash seed.
+Only the public constructor ``Permutation(images)`` checks that the images
+are a permutation; all other operations build from images that are one.
+Values are immutable, so sharing permutations across threads is safe.
 
-Composition is left-to-right: ``(p * q)(x) = q(p(x))``.
+Composition is left-to-right: ``(p * q)(x) = q(p(x))``.  It is one
+``p.translate(q.table())``, where ``q.table()`` is q padded by the identity
+on n..255; an inverse is one ``bytes.maketrans``.
 """
 
 from __future__ import annotations
 
 import re
 from math import lcm
+
+_IDENTITY = bytes(range(256))
+_PAD = tuple(_IDENTITY[n:] for n in range(257))  # _PAD[n]: the identity on n..255
+_new = bytes.__new__  # a Permutation from images that are one, without the check
 
 
 class DegreeMismatchError(ValueError):
@@ -25,7 +29,7 @@ class DegreeMismatchError(ValueError):
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*[, ]\s*\d+)*)\s*\)")
 
 
-class Permutation(tuple):
+class Permutation(bytes):
     __slots__ = ()
 
     def __init__(self, images):
@@ -42,15 +46,12 @@ class Permutation(tuple):
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return tuple.__new__(cls, range(degree))
+        return _new(cls, range(degree))
 
     @classmethod
     def from_cycles(cls, cycles, degree: int = 0) -> "Permutation":
         """Build from 1-based cycles, e.g. ``[(1, 2, 3), (4, 5)]``."""
-        n = degree
-        for cyc in cycles:
-            if cyc:
-                n = max(n, max(cyc))
+        n = max([degree] + [max(cyc) for cyc in cycles if cyc])
         images = list(range(n))
         for cyc in cycles:
             if len(cyc) != len(set(cyc)):
@@ -80,20 +81,25 @@ class Permutation(tuple):
         """The same permutation acting on a larger point set."""
         if degree < len(self):
             raise ValueError("cannot shrink a permutation")
-        return tuple.__new__(Permutation, (*self, *range(len(self), degree)))
+        return _new(Permutation, self + bytes(range(len(self), degree)))
 
-    __call__ = tuple.__getitem__
+    __call__ = bytes.__getitem__
+
+    def table(self) -> bytes:
+        """The 256-byte translation table of self: ``p.translate(q.table())`` holds p * q."""
+        return self + _PAD[len(self)]
+
+    def inverse_table(self) -> bytes:
+        """The translation table of self's inverse."""
+        return bytes.maketrans(self, _IDENTITY[: len(self)])
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if len(self) != len(other):
             raise DegreeMismatchError(f"degree {len(self)} != {len(other)}")
-        return tuple.__new__(Permutation, map(other.__getitem__, self))
+        return _new(Permutation, self.translate(other + _PAD[len(other)]))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self)
-        for i, j in enumerate(self):
-            inv[j] = i
-        return tuple.__new__(Permutation, inv)
+        return _new(Permutation, self.inverse_table()[: len(self)])
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -108,16 +114,13 @@ class Permutation(tuple):
         return result
 
     def conjugate(self, g: "Permutation") -> "Permutation":
-        """g^-1 * self * g, built in one pass: it sends g(i) to g(self(i))."""
+        """g^-1 * self * g: it sends g(i) to g(self(i)), one translate and one maketrans."""
         if len(self) != len(g):
             raise DegreeMismatchError(f"degree {len(self)} != {len(g)}")
-        images = [0] * len(self)
-        for i, j in enumerate(self):
-            images[g[i]] = g[j]
-        return tuple.__new__(Permutation, images)
+        return _new(Permutation, bytes.maketrans(g, self.translate(g + _PAD[len(g)]))[: len(g)])
 
     def is_identity(self) -> bool:
-        return self == tuple(range(len(self)))
+        return self == _IDENTITY[: len(self)]
 
     def cycles(self):
         """Nontrivial cycles as 1-based tuples, each starting at its least point."""
@@ -154,13 +157,12 @@ class Permutation(tuple):
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
     def min_moved(self):
-        for i, j in enumerate(self):
-            if i != j:
-                return i
-        return None
+        return next((i for i, j in enumerate(self) if i != j), None)
 
     def __repr__(self):
         cycs = self.cycles()
         if not cycs:
             return "()"
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cycs)
+
+    __str__ = __repr__

@@ -15,11 +15,12 @@ and solvability are derived from the chain.  A Sylow subgroup grows by the
 least p-element of the group's sorted elements that normalizes it and lies
 outside it; the p-subgroups inside it are chains grown one generator at a
 time, and simplicity is decided by normal closures of elements of prime
-order in Sylow centres.  No group fact is ever read from a table.
+order in Sylow centres.  No group fact is ever read from a table.  Element
+scans, sifts and orbits compose by ``bytes.translate`` (see ``perm``).
 
 A group's generators and chain are fixed once it is constructed.  Three
 caches are filled on first use, and an entry once written never changes:
-the sorted elements, the element-order set, and the normalizers by
+the sorted elements, the order of every element, and the normalizers by
 conjugation orbit.  A race can only compute an entry twice, with equal
 results, so shared instances are safe under concurrent use.  Generators are
 added in sorted order (a Sylow subgroup's in growth order) and Schreier
@@ -31,11 +32,15 @@ from __future__ import annotations
 import os
 import re
 from functools import lru_cache
+from math import gcd
 
 from .fppoly import factorize
 from .perm import DegreeMismatchError, Permutation
 
-ELEMENT_SCAN_CAP = 10**7
+# Sorted elements take 72 B each at degree 9 and 160 B at degree 100 (tracemalloc), about
+# degree + 63 B, and their order table at most 87 B more: about 406 B each at degree 256.
+ELEMENT_SCAN_CAP = 2**30 // 406  # 2,644,684 elements: one group's scan stays under 1 GiB
+_new = bytes.__new__  # a Permutation from images that are one by construction, without the check
 
 
 class SizeCapExceededError(ValueError):
@@ -86,20 +91,21 @@ class PermGroup:
         if self._stabilizer is None:
             self._base_point = g.min_moved()
             self._stabilizer = PermGroup([], self.degree)
-        self._transversal, schreier = self._orbit(self._base_point, lambda pt, h: h[pt])
+        self._transversal, schreier = self._orbit(self._base_point, lambda pt, g, table: g[pt])
         for s in schreier:
             if s not in self._stabilizer:
                 self._stabilizer._add(s)
         self._order = len(self._transversal) * self._stabilizer._order
 
     def _orbit(self, x, act):
-        """Orbit of x under ``act(y, g)`` as a transversal, and the Schreier generators.
+        """Orbit of x under ``act(y, g, table)`` as a transversal, and the Schreier generators.
 
         The orbit is found by BFS over the generators; ``transversal[y]``
-        carries x to y.  By Schreier's lemma the elements t_y g t_act(y,g)^-1
-        generate the stabilizer of x; they are returned deduplicated and
-        sorted, so every run builds the same chain.
+        carries x to y.  By Schreier's lemma the elements t_y g t_act(y,g)^-1,
+        two translates each, generate the stabilizer of x; they are returned
+        deduplicated and sorted, so every run builds the same chain.
         """
+        moves = [(g, g.table()) for g in self.generators]
         transversal = {x: self.identity()}
         frontier = [x]
         schreier = set()
@@ -107,16 +113,17 @@ class PermGroup:
             new = []
             for y in frontier:
                 t = transversal[y]
-                for g in self.generators:
-                    z = act(y, g)
+                for g, table in moves:
+                    z = act(y, g, table)
+                    tg = t.translate(table)
                     u = transversal.get(z)
                     if u is None:
-                        transversal[z] = t * g
+                        transversal[z] = _new(Permutation, tg)
                         new.append(z)
                     else:
-                        schreier.add(t * g * u.inverse())
+                        schreier.add(tg.translate(u.inverse_table()))
             frontier = new
-        return transversal, sorted(schreier)
+        return transversal, [_new(Permutation, s) for s in sorted(schreier)]
 
     def _chain(self):
         """The levels of the stabilizer chain that have a base point, top first."""
@@ -143,11 +150,11 @@ class PermGroup:
         if g.degree != self.degree:
             raise DegreeMismatchError(f"degree {g.degree} != group degree {self.degree}")
         for level in self._chain():
-            t = level._transversal.get(g(level._base_point))
+            t = level._transversal.get(g[level._base_point])
             if t is None:
-                return g
-            g = g * t.inverse()
-        return g
+                break
+            g = g.translate(t.inverse_table())
+        return _new(Permutation, g)
 
     def __contains__(self, g: Permutation) -> bool:
         return self.sift(g).is_identity()
@@ -168,15 +175,28 @@ class PermGroup:
                 raise SizeCapExceededError(f"order {self._order} exceeds {ELEMENT_SCAN_CAP}")
             elems = [self.identity()]
             for level in reversed(list(self._chain())):
-                elems = [h * t for h in elems for t in level._transversal.values()]
+                tables = [t.table() for t in level._transversal.values()]
+                elems = [_new(Permutation, h.translate(table)) for h in elems for table in tables]
             elems.sort()
             self._elements = tuple(elems)
         return self._elements
 
     def element_order_set(self):
-        """Set of element orders, cached; closed under divisors by Lagrange on ⟨x⟩."""
+        """Set of element orders; closed under divisors by Lagrange on ⟨x⟩."""
+        return frozenset(self._orders().values())
+
+    def _orders(self):
+        """{element: order}, cached.  Each cyclic subgroup ⟨g⟩ is walked once by translates
+        through g's table; with k = |⟨g⟩|, g^j has order k / gcd(j, k)."""
         if self._element_orders is None:
-            self._element_orders = frozenset(g.order() for g in self.elements())
+            orders, identity = dict.fromkeys(self.elements(), 0), self.identity()
+            for g in self.elements():
+                if not orders[g]:
+                    powers, table = [g], g.table()
+                    while powers[-1] != identity:
+                        powers.append(powers[-1].translate(table))
+                    orders.update((x, len(powers) // gcd(j, len(powers))) for j, x in enumerate(powers, 1))
+            self._element_orders = orders
         return self._element_orders
 
     def subgroup(self, gens) -> "PermGroup":
@@ -188,7 +208,7 @@ class PermGroup:
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         """Stabilizer of a point (0-based)."""
-        _, schreier = self._orbit(point, lambda pt, g: g[pt])
+        _, schreier = self._orbit(point, lambda pt, g, table: g[pt])
         return PermGroup(schreier, self.degree)
 
     # -- derived structure ---------------------------------------------------
@@ -212,11 +232,7 @@ class PermGroup:
         return closure
 
     def derived_subgroup(self) -> "PermGroup":
-        commutators = [
-            a.inverse() * b.inverse() * a * b
-            for a in self.generators
-            for b in self.generators
-        ]
+        commutators = [a.inverse() * b.inverse() * a * b for a in self.generators for b in self.generators]
         return self.normal_closure([c for c in commutators if not c.is_identity()])
 
     def is_solvable(self) -> bool:
@@ -243,10 +259,12 @@ class PermGroup:
         dividing |N|, in a nontrivial normal subgroup of P, which meets Z(P).
         So the group is simple iff, for each prime r dividing its order, one
         element of each subgroup of order r in Z(P) has it as normal closure.
+        At a composite order, a proper derived subgroup settles it at once.
         """
-        if self._order == 1:
+        primes = factorize(self._order)
+        if not primes or (primes != ((self._order, 1),) and self.derived_subgroup()._order < self._order):
             return False
-        for r, _ in factorize(self._order):
+        for r, _ in primes:
             sylow = self.sylow_subgroup(r)
             covered = set()
             for z in sylow.elements():
@@ -270,7 +288,8 @@ class PermGroup:
         p_part = p ** dict(factorize(self._order)).get(p, 0)
         sylow = PermGroup([], self.degree)
         while sylow._order < p_part:
-            sylow._add(next(y for y in self.elements() if p_part % y.order() == 0 and y not in sylow
+            orders = self._orders()
+            sylow._add(next(y for y in self.elements() if p_part % orders[y] == 0 and y not in sylow
                             and all(h.conjugate(y) in sylow for h in sylow.generators)))
         return sylow
 
@@ -305,10 +324,9 @@ class PermGroup:
         for h in subgroup.generators:
             if h not in self:
                 raise ValueError("not a subgroup: generator outside the group")
-        return self._orbit(
-            frozenset(subgroup.elements()),
-            lambda elements, g: frozenset(h.conjugate(g) for h in elements),
-        )
+        # g^-1 h g sends g(i) to g(h(i)); the conjugates stay plain bytes, equal to the Permutations
+        return self._orbit(frozenset(subgroup.elements()), lambda elements, g, table: frozenset(
+            bytes.maketrans(g, h.translate(table))[: self.degree] for h in elements))
 
 
 # -- oracles and p-subgroups ----------------------------------------------

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -282,3 +286,18 @@ def test_json_reports_match_golden_digests(argv, digest, capsys):
     code, out, _ = run(argv + ["--format", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    """Permutations hash as bytes, which follow PYTHONHASHSEED; no report may depend on that."""
+    commands = [argv for _, argv, _ in GOLDEN_REPORTS if argv[0] in ("group-audit", "enumerate")]
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != permgroup.DATA_ENV_VAR}
+
+    def stdout(argv, seed):
+        return subprocess.run([sys.executable, "-m", "curvebound.cli", *argv, "--format", "json"],
+                              env=dict(env, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                              capture_output=True, check=True).stdout
+
+    for argv in commands + [["bounds", "all"]]:
+        assert stdout(argv, "0") == stdout(argv, "1"), argv

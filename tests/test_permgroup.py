@@ -3,6 +3,7 @@
 import math
 import random
 import shutil
+import time
 
 import pytest
 
@@ -12,7 +13,9 @@ from curvebound.fppoly import factorize
 from curvebound.perm import DegreeMismatchError, Permutation
 from curvebound.permgroup import (
     DATA_ENV_VAR,
+    ELEMENT_SCAN_CAP,
     PermGroup,
+    SizeCapExceededError,
     closure_elements,
     generator_file_path,
     max_solvable_with_cyclic_complement,
@@ -472,6 +475,23 @@ def test_is_simple_named_groups(gens, degree, order, simple):
     group = PermGroup([Permutation.parse(g, degree) for g in gens], degree)
     assert group.order() == order
     assert group.is_simple() == brute_is_simple(group) == simple
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 12])
+def test_is_simple_stops_at_a_proper_derived_subgroup(n):
+    # S_12 lies far above the element-scan cap, so it has to be settled before any Sylow growth.
+    assert sym(n).is_simple() is False
+    assert sym(n).derived_subgroup().order() == math.factorial(n) // 2
+
+
+def test_element_scans_refuse_above_the_cap_at_once():
+    s12 = sym(12)
+    assert s12.order() == math.factorial(12) > ELEMENT_SCAN_CAP
+    start = time.perf_counter()
+    for scan in (s12.elements, s12.element_order_set, lambda: s12.sylow_subgroup(2)):
+        with pytest.raises(SizeCapExceededError):
+            scan()
+    assert time.perf_counter() - start < 0.2
 
 
 @pytest.mark.parametrize("gens", [p for p in RANDOM_SETS if PermGroup(p.values[0]).order() <= 720])
