@@ -444,6 +444,10 @@ def _psl3_gm1(q):
     return q**3 * (q - 1) ** 2 * (q + 1) // delta // 30 + 1
 
 
+HURWITZ = PowerBound(F(84), shift=-1)
+MAIN = PowerBound(F(82137, 100), num=7, den=4)
+
+
 @cache
 def registry():
     """{chain id: [Step, ...]}, built on first use."""
@@ -604,51 +608,44 @@ def registry():
              note="961.09(g-1)^(17/12) < 463(g-1)^(7/4) for g >= 10 (sharp at 10)"),
     )
 
-    main = PowerBound(F(82137, 100), num=7, den=4)
     add(
         "headline",
         Step("main.from_292", "dominates", "PSL2 small-Borel untwisted",
-             (PowerBound(F(29242, 100), num=3, den=2), main, 2, None)),
+             (PowerBound(F(29242, 100), num=3, den=2), MAIN, 2, None)),
         Step("main.from_508", "dominates", "PSL2 small-Borel twisted",
-             (PowerBound(F(50864, 100), shift=-1, num=7, den=4), main, 2, None)),
+             (PowerBound(F(50864, 100), shift=-1, num=7, den=4), MAIN, 2, None)),
         Step("main.from_86", "dominates", "PSL2 large-Borel untwisted",
-             (PowerBound(F(8672, 100), num=3, den=2), main, 2, None)),
+             (PowerBound(F(8672, 100), num=3, den=2), MAIN, 2, None)),
         Step("main.from_133", "dominates", "PSL2 large-Borel twisted",
-             (PowerBound(F(133), num=7, den=4), main, 2, None)),
+             (PowerBound(F(133), num=7, den=4), MAIN, 2, None)),
         Step("main.from_266", "dominates", "PGL2 large-Borel twisted",
-             (PowerBound(F(266), num=7, den=4), main, 2, None)),
+             (PowerBound(F(266), num=7, den=4), MAIN, 2, None)),
         Step("main.from_345", "dominates", "PSU3 untwisted",
-             (PowerBound(F(345), shift=-1, num=7, den=4), main, 2, None)),
+             (PowerBound(F(345), shift=-1, num=7, den=4), MAIN, 2, None)),
         Step("main.from_766", "dominates", "PSU3 twisted",
-             (PowerBound(F(766), shift=-1, num=7, den=4), main, 2, None)),
+             (PowerBound(F(766), shift=-1, num=7, den=4), MAIN, 2, None)),
         Step("main.from_290", "dominates", "PSL3 untwisted",
-             (PowerBound(F(290), shift=-1, num=7, den=4), main, 2, None)),
+             (PowerBound(F(290), shift=-1, num=7, den=4), MAIN, 2, None)),
         Step("main.from_463", "dominates", "PSL3 twisted",
-             (PowerBound(F(463), shift=-1, num=7, den=4), main, 2, None)),
+             (PowerBound(F(463), shift=-1, num=7, den=4), MAIN, 2, None)),
         Step("main.from_solvable", "dominates", "solvable / elementary-abelian branch",
-             (PowerBound(F(34), shift=1, num=3, den=2), main, 2, None),
+             (PowerBound(F(34), shift=1, num=3, den=2), MAIN, 2, None),
              note="34(g+1)^(3/2) < 821.37 g^(7/4) for g >= 2"),
         Step("main.from_hurwitz", "dominates", "sporadic branch through 84(g-1)",
-             (PowerBound(F(84), shift=-1), main, 2, None)),
+             (HURWITZ, MAIN, 2, None)),
         Step("main.m11_g26", "holds_at", "exceptional pair satisfies the headline bound",
-             (main, 7920, 26, True)),
+             (MAIN, 7920, 26, True)),
         Step("main.m11_g26_hurwitz", "holds_at", "exceptional pair violates 84(g-1)",
-             (PowerBound(F(84), shift=-1), 7920, 26, False),
+             (HURWITZ, 7920, 26, False),
              note="7920 > 84*25 = 2100"),
         Step("main.alt7_g31_equality", "holds_at", "strict Hurwitz fails exactly at 2520 = 84*30",
-             (PowerBound(F(84), shift=-1), 2520, 31, False),
+             (HURWITZ, 2520, 31, False),
              note="equality 2520 = 84(31-1), so the strict bound fails"),
         Step("main.alt7_g10", "holds_at", "provisional sporadic pair violates 84(g-1)",
-             (PowerBound(F(84), shift=-1), 2520, 10, False),
+             (HURWITZ, 2520, 10, False),
              note="2520 > 84*9 = 756"),
     )
     return chains
-
-
-REGISTRY_CONSTANTS = (
-    "292.42", "508.64", "821.37", "47.2", "86.72", "133", "266", "345", "463",
-    "290", "595.21", "720", "766", "961.09", "1750.24",
-)
 
 
 def chain_ids():
@@ -671,15 +668,7 @@ def audit_all():
     return {cid: audit_chain(cid) for cid in chain_ids()}
 
 
-def chain_passes(chain_id: str) -> bool:
-    """True iff every step verdict matches its frozen expectation."""
-    return all(report.verdict == step.expect for step, report in zip(chain_steps(chain_id), audit_chain(chain_id)))
-
-
 # -- classification ----------------------------------------------------------
-
-HURWITZ = PowerBound(F(84), shift=-1)
-MAIN = PowerBound(F(82137, 100), num=7, den=4)
 
 
 def classify(order_g: int, g: int):

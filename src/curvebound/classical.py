@@ -4,7 +4,7 @@ The PSL/PGL/PSU/PGU orders, times an outer factor of field automorphisms,
 are exact integer formulas.  Facts about the two sporadic candidates (the
 alternating group on 7 points and the Mathieu group on 11 points) are always
 recomputed from their permutation representations, never read from a table;
-only those two paths import the group layer.
+``sporadic_facts`` is the only path that imports the group layer.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from math import gcd
 
 from .fppoly import factor_prime_power
 
-FAMILIES = ("PSL2", "PGL2", "PSL3", "PGL3", "PSU3", "PGU3", "ALT7", "M11")
+FAMILIES = ("PSL2", "PGL2", "PSL3", "PGL3", "PSU3", "PGU3")
 SPORADIC_WILD_PRIMES = {"ALT7": (3, 5, 7), "M11": (3, 5, 11)}
 
 
@@ -26,25 +26,19 @@ def field_aut_divisors(q: int):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One candidate group: a classical family at q, or a sporadic name.
+    """One candidate group: a classical family at a prime power q.
 
     ``field_aut_factor`` is the order of the outer cyclic factor acting by
     field automorphisms; it must be an odd divisor of k.
     """
 
     family: str
-    q: int | None = None
+    q: int
     field_aut_factor: int = 1
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family in ("ALT7", "M11"):
-            if self.q is not None or self.field_aut_factor != 1:
-                raise ValueError("sporadic groups take no q or outer factor")
-            return
-        if self.q is None:
-            raise ValueError(f"{self.family} requires a prime power q")
         outer = field_aut_divisors(self.q)
         if self.family in ("PSL2", "PGL2"):
             if self.q < 5 or self.q % 2 == 0:
@@ -62,10 +56,6 @@ class FamilySpec:
 def family_order(spec: FamilySpec) -> int:
     """Exact order of the group described by ``spec``."""
     q = spec.q
-    if spec.family in ("ALT7", "M11"):
-        from . import permgroup
-
-        return permgroup.load_group(spec.family.lower()).order()
     if spec.family == "PSL2":
         base = q * (q - 1) * (q + 1) // 2
     elif spec.family == "PGL2":

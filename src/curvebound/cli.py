@@ -144,12 +144,12 @@ def cmd_enumerate(group: str, char: int) -> Report:
         command=["enumerate", "--group", group, "--char", str(char)],
         input_digest=_digest(group, str(char), str(facts.wild_catalog), str(facts.tame_catalog)),
     )
-    coeff_ok = coefficient < 84
+    coeff_ok = coefficient < ramification.HURWITZ_COEFF
     report.add(
         f"{group} p={char} one-wild-point coefficient",
         "holds" if coeff_ok else "fails",
         coefficient=coefficient,
-        bound=84,
+        bound=ramification.HURWITZ_COEFF,
         wild_catalog=[list(w) for w in facts.wild_catalog],
     )
     survivors = []

@@ -129,13 +129,6 @@ class FpPoly:
             k >>= 1
         return result
 
-    def pow_foldl(self, k: int):
-        """Plain left-fold power; a second route for reproducibility checks."""
-        result = FpPoly.constant(self.p, 1)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def divmod(self, other):
         self._check(other)
         if other.is_zero():
@@ -167,28 +160,6 @@ class FpPoly:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def shift_x(self, c: int):
-        """The polynomial f(x + c)."""
-        out = FpPoly(self.p, ())
-        xc = FpPoly(self.p, (c, 1))
-        power = FpPoly.constant(self.p, 1)
-        for a in self.coeffs:
-            out = out + power * a
-            power = power * xc
-        return out
-
-    def scale_x(self, u: int):
-        """The polynomial f(u*x); u must be a unit."""
-        if u % self.p == 0:
-            raise ValueError("scale factor must be a unit")
-        return FpPoly(self.p, [c * pow(u, i, self.p) for i, c in enumerate(self.coeffs)])
 
     def derivative(self):
         return FpPoly(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])

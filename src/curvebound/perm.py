@@ -40,10 +40,6 @@ class Permutation(bytes):
     def degree(self) -> int:
         return len(self)
 
-    @property
-    def images(self) -> tuple:
-        return tuple(self)
-
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return _new(cls, range(degree))
@@ -139,22 +135,8 @@ class Permutation(bytes):
         return out
 
     def order(self) -> int:
-        """The lcm of the cycle lengths, found by one walk over the points."""
-        seen = bytearray(len(self))
-        lengths = set()
-        for start in range(len(self)):
-            if seen[start]:
-                continue
-            j, length = start, 0
-            while not seen[j]:
-                seen[j] = 1
-                j = self[j]
-                length += 1
-            lengths.add(length)
-        return lcm(*lengths)
-
-    def is_even(self) -> bool:
-        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
+        """The lcm of the cycle lengths."""
+        return lcm(*map(len, self.cycles()))
 
     def min_moved(self):
         return next((i for i, j in enumerate(self) if i != j), None)

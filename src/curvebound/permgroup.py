@@ -10,13 +10,13 @@ generates exactly the stabilizer of its base point.  Point stabilizers,
 normalizers (stabilizers of an element set under conjugation) and subgroup
 class sizes (orbit lengths) come from the same routine.  Each conjugation
 orbit of subgroups is computed once per group: the normalizer of any other
-point of the orbit is a conjugate of the first one's.  Order, membership
-and solvability are derived from the chain.  A Sylow subgroup grows by the
-least p-element of the group's sorted elements that normalizes it and lies
-outside it; the p-subgroups inside it are chains grown one generator at a
-time, and simplicity is decided by normal closures of elements of prime
-order in Sylow centres.  No group fact is ever read from a table.  Element
-scans, sifts and orbits compose by ``bytes.translate`` (see ``perm``).
+point of the orbit is a conjugate of the first one's.  Order and membership
+are derived from the chain.  A Sylow subgroup grows by the least p-element
+of the group's sorted elements that normalizes it and lies outside it; the
+p-subgroups inside it are chains grown one generator at a time, and
+simplicity is decided by normal closures of elements of prime order in
+Sylow centres.  No group fact is ever read from a table.  Element scans,
+sifts and orbits compose by ``bytes.translate`` (see ``perm``).
 
 A group's generators and chain are fixed once it is constructed.  Three
 caches are filled on first use, and an entry once written never changes:
@@ -137,14 +137,6 @@ class PermGroup:
     def order(self) -> int:
         return self._order
 
-    @property
-    def base(self):
-        return tuple(level._base_point for level in self._chain())
-
-    @property
-    def strong_generators(self):
-        return tuple(sorted({s for level in self._chain() for s in level.generators}))
-
     def sift(self, g: Permutation) -> Permutation:
         """Strip g through the stabilizer chain; identity iff g is a member."""
         if g.degree != self.degree:
@@ -161,9 +153,6 @@ class PermGroup:
 
     def __len__(self):
         return self._order
-
-    def is_trivial(self) -> bool:
-        return self._order == 1
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
@@ -234,16 +223,6 @@ class PermGroup:
     def derived_subgroup(self) -> "PermGroup":
         commutators = [a.inverse() * b.inverse() * a * b for a in self.generators for b in self.generators]
         return self.normal_closure([c for c in commutators if not c.is_identity()])
-
-    def is_solvable(self) -> bool:
-        """True iff the derived series reaches the trivial group."""
-        current = self
-        while current.order() > 1:
-            derived = current.derived_subgroup()
-            if derived.order() == current.order():
-                return False
-            current = derived
-        return True
 
     def is_abelian(self) -> bool:
         return all(a * b == b * a for a in self.generators for b in self.generators)

@@ -18,6 +18,13 @@ from .ramification import kummer_genus
 
 ZETA_GENUS_CAP = 3
 ZETA_POINT_CAP = 10**7
+# Caps on a parsed curve, checked before any list is sized or any trial division runs.
+# The Cartier route's work grows about as m (deg f)^3 p^2.  At the corner (p = 31, m = 7
+# or 8, a dense f of degree 32, genus about 105) it takes 3-4 s on a 2-vCPU VM, and the
+# zeta oracle at p = 31 and genus 3 about 6 s.
+PRIME_CAP = 31
+COVER_DEGREE_CAP = 8
+POLY_DEGREE_CAP = 32
 
 
 class UnsupportedModelError(ValueError):
@@ -189,23 +196,17 @@ def stable_rank(matrix: CartierMatrix) -> int:
     """Rank of M * M^(p) * ... * M^(p^(g-1)), the p-rank of the model.
 
     The twist M^(p^i) raises every entry to the p^i-th power, which fixes
-    the prime field, so the product is the plain power M^g.
+    the prime field, so the product is the plain power M^g.  By Fitting's
+    lemma rank(M^k) is the same for every k >= g, so M is squared
+    (g-1).bit_length() times, to M^k with g <= k < 2g.
     """
     g = matrix.size
     if g == 0:
         return 0
     product = matrix.entries
-    for _ in range(g - 1):
-        product = _mat_mul(product, matrix.entries, matrix.p)
+    for _ in range((g - 1).bit_length()):
+        product = _mat_mul(product, product, matrix.p)
     return _rank_mod_p(product, matrix.p)
-
-
-def p_rank(model: CurveModel) -> int:
-    return stable_rank(cartier_matrix(model))
-
-
-def is_ordinary(model: CurveModel) -> bool:
-    return p_rank(model) == genus_of_model(model)
 
 
 # -- zeta-function oracle -----------------------------------------------------
@@ -301,11 +302,6 @@ def _newton_sum(power_sums, coeffs, k: int) -> int:
     return sum(power_sums[i - 1] * coeffs[k - i] for i in range(1, k))
 
 
-def zeta_prank_oracle(model: CurveModel) -> int:
-    """p-rank as the degree of the zeta numerator reduced mod p."""
-    return l_polynomial_p_rank(zeta_l_polynomial(model), model.p)
-
-
 def l_polynomial_p_rank(coeffs, p: int) -> int:
     """Degree of the zeta numerator ``coeffs`` reduced mod p."""
     return max((k for k, c in enumerate(coeffs) if c % p != 0), default=0)
@@ -315,7 +311,13 @@ def l_polynomial_p_rank(coeffs, p: int) -> int:
 
 
 def parse_curve(text: str, p: int) -> CurveModel:
-    """Parse ``y^m = <integer polynomial in x>`` into a model over GF(p)."""
+    """Parse ``y^m = <integer polynomial in x>`` into a model over GF(p).
+
+    Refuses p outside 2..``PRIME_CAP``, m above ``COVER_DEGREE_CAP`` and f
+    of degree above ``POLY_DEGREE_CAP`` before any work that grows with them.
+    """
+    if not 2 <= p <= PRIME_CAP:
+        raise ValueError(f"p = {p} is not a prime in 2..{PRIME_CAP}")
     lhs, _, rhs = text.partition("=")
     if not rhs:
         raise ValueError("curve expression needs '='")
@@ -324,6 +326,8 @@ def parse_curve(text: str, p: int) -> CurveModel:
     if not match:
         raise ValueError(f"left side must be y^m, got {lhs!r}")
     m = int(match.group(1) or 1)
+    if m > COVER_DEGREE_CAP:
+        raise ValueError(f"m = {m} exceeds the cap of {COVER_DEGREE_CAP}")
     coeffs = _parse_poly(rhs, p)
     return CurveModel(m=m, f=FpPoly(p, coeffs), p=p)
 
@@ -344,6 +348,8 @@ def _parse_poly(text: str, p: int):
             exp = 0
         coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
     size = max(coeffs) + 1 if coeffs else 0
+    if size > POLY_DEGREE_CAP + 1:
+        raise ValueError(f"degree {size - 1} exceeds the cap of {POLY_DEGREE_CAP}")
     out = [0] * size
     for e, c in coeffs.items():
         out[e] = c % p

@@ -182,43 +182,3 @@ def case_i_ii_coefficient(facts) -> Fraction:
         best = max(best, Fraction(2 * e_one * q1, q1 - 2))
     return best
 
-
-class UnboundedInstanceError(ValueError):
-    """The linear instance admits infinitely many non-negative solutions."""
-
-
-def solve_branch_data(equations, unknowns: int):
-    """All non-negative integer solutions of a linear system, exhaustively.
-
-    ``equations`` is a list of (coefficients, rhs) pairs with one coefficient
-    per unknown.  Every unknown must have a positive coefficient in at least
-    one equation whose other coefficients are non-negative, otherwise the
-    instance is unbounded and refused.
-    """
-    bounds = []
-    for i in range(unknowns):
-        best = None
-        for coeffs, rhs in equations:
-            if len(coeffs) != unknowns:
-                raise ValueError("coefficient count mismatch")
-            if coeffs[i] > 0 and all(c >= 0 for c in coeffs) and rhs >= 0:
-                limit = rhs // coeffs[i]
-                best = limit if best is None else min(best, limit)
-        if best is None:
-            raise UnboundedInstanceError(f"unknown {i} is unbounded")
-        bounds.append(best)
-    solutions = []
-    assignment = [0] * unknowns
-
-    def walk(i):
-        if i == unknowns:
-            if all(sum(c * x for c, x in zip(coeffs, assignment)) == rhs for coeffs, rhs in equations):
-                solutions.append(tuple(assignment))
-            return
-        for value in range(bounds[i] + 1):
-            assignment[i] = value
-            walk(i + 1)
-        assignment[i] = 0
-
-    walk(0)
-    return solutions

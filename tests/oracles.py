@@ -1,0 +1,135 @@
+"""Reference routes and conveniences that only the tests call.
+
+None of these is on a reproduction path, so they live here rather than in
+the package: second routes to values the package computes (a left-fold
+power, a p-rank read off point counts), properties read off a stabilizer
+chain, and the exhaustive branch-data solver.
+"""
+
+from curvebound import bounds
+from curvebound.fppoly import FpPoly
+from curvebound.prank import cartier_matrix, l_polynomial_p_rank, stable_rank, zeta_l_polynomial
+
+# -- polynomials over GF(p) ---------------------------------------------------
+
+
+def pow_foldl(f: FpPoly, k: int) -> FpPoly:
+    """Plain left-fold power; a second route to ``f**k``."""
+    result = FpPoly.constant(f.p, 1)
+    for _ in range(k):
+        result = result * f
+    return result
+
+
+def evaluate(f: FpPoly, x: int) -> int:
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = (acc * x + c) % f.p
+    return acc
+
+
+def shift_x(f: FpPoly, c: int) -> FpPoly:
+    """The polynomial f(x + c)."""
+    out = FpPoly(f.p, ())
+    xc = FpPoly(f.p, (c, 1))
+    power = FpPoly.constant(f.p, 1)
+    for a in f.coeffs:
+        out = out + power * a
+        power = power * xc
+    return out
+
+
+def scale_x(f: FpPoly, u: int) -> FpPoly:
+    """The polynomial f(u*x); u must be a unit."""
+    if u % f.p == 0:
+        raise ValueError("scale factor must be a unit")
+    return FpPoly(f.p, [c * pow(u, i, f.p) for i, c in enumerate(f.coeffs)])
+
+
+# -- p-ranks -------------------------------------------------------------------
+
+
+def p_rank(model) -> int:
+    """The Cartier route: the stable rank of the Cartier matrix."""
+    return stable_rank(cartier_matrix(model))
+
+
+def zeta_prank_oracle(model) -> int:
+    """The point-count route: the degree of the zeta numerator reduced mod p."""
+    return l_polynomial_p_rank(zeta_l_polynomial(model), model.p)
+
+
+# -- permutation groups ----------------------------------------------------------
+
+
+def base(group):
+    """The base points of the stabilizer chain, top first."""
+    return tuple(level._base_point for level in group._chain())
+
+
+def strong_generators(group):
+    return tuple(sorted({s for level in group._chain() for s in level.generators}))
+
+
+def is_solvable(group) -> bool:
+    """True iff the derived series reaches the trivial group."""
+    current = group
+    while current.order() > 1:
+        derived = current.derived_subgroup()
+        if derived.order() == current.order():
+            return False
+        current = derived
+    return True
+
+
+# -- bound chains ------------------------------------------------------------------
+
+
+def chain_passes(chain_id: str) -> bool:
+    """True iff every step verdict matches its frozen expectation."""
+    steps, reports = bounds.chain_steps(chain_id), bounds.audit_chain(chain_id)
+    return all(report.verdict == step.expect for step, report in zip(steps, reports))
+
+
+# -- branch data -------------------------------------------------------------------
+
+
+class UnboundedInstanceError(ValueError):
+    """The linear instance admits infinitely many non-negative solutions."""
+
+
+def solve_branch_data(equations, unknowns: int):
+    """All non-negative integer solutions of a linear system, exhaustively.
+
+    ``equations`` is a list of (coefficients, rhs) pairs with one coefficient
+    per unknown.  Every unknown must have a positive coefficient in at least
+    one equation whose other coefficients are non-negative, otherwise the
+    instance is unbounded and refused.
+    """
+    limits = []
+    for i in range(unknowns):
+        best = None
+        for coeffs, rhs in equations:
+            if len(coeffs) != unknowns:
+                raise ValueError("coefficient count mismatch")
+            if coeffs[i] > 0 and all(c >= 0 for c in coeffs) and rhs >= 0:
+                limit = rhs // coeffs[i]
+                best = limit if best is None else min(best, limit)
+        if best is None:
+            raise UnboundedInstanceError(f"unknown {i} is unbounded")
+        limits.append(best)
+    solutions = []
+    assignment = [0] * unknowns
+
+    def walk(i):
+        if i == unknowns:
+            if all(sum(c * x for c, x in zip(coeffs, assignment)) == rhs for coeffs, rhs in equations):
+                solutions.append(tuple(assignment))
+            return
+        for value in range(limits[i] + 1):
+            assignment[i] = value
+            walk(i + 1)
+        assignment[i] = 0
+
+    walk(0)
+    return solutions

@@ -23,8 +23,6 @@ def test_family_orders():
     assert family_order(FamilySpec("PSL2", 5)) == 60
     assert family_order(FamilySpec("PSU3", 5)) == 126000
     assert family_order(FamilySpec("PSL3", 3)) == 5616
-    assert family_order(FamilySpec("ALT7")) == 2520
-    assert family_order(FamilySpec("M11")) == 7920
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27, 125])

@@ -245,6 +245,23 @@ def test_prank_rejects_degenerate(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("p, curve", [
+    ("1000000000000000000000007", "y^2 = x^5 + x + 1"),  # trial division of a 25-digit prime p
+    ("4001", "y^2 = x^5 + 3*x + 1"),  # f^2000 in the Cartier matrix
+    ("0", "y^2 = x^5 - x"),  # reduction mod 0
+    ("3", "y^2 = x^1001 + x + 1"),  # genus 500
+    ("3", "y^2 = x^1000000000 + x + 1"),  # a list of 10^9 coefficients
+    ("3", "y^1000000000000000003 = x^5 + x + 1"),  # trial division of a 19-digit prime m
+], ids=["p-huge", "p-4001", "p-zero", "degree-1001", "degree-1e9", "m-huge"])
+def test_prank_refuses_inputs_past_its_caps_at_once(p, curve, capsys):
+    start = time.perf_counter()
+    code, out, err = run(["prank", "--p", p, "--curve", curve], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_text_format_runs(capsys):
     code, out, _ = run(["group-audit", "alt7", "--format", "text"], capsys)
     assert code == 0

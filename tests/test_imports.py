@@ -2,8 +2,10 @@
 
 A module may not import an underscore name from a sibling module (private
 helpers stay private to their module), and may not import a name it never
-uses.  A CLI process loads only the layers its subcommand runs, checked in a
-fresh interpreter.
+uses.  Every public name the package defines has a reader inside the
+package, apart from an allow-list with a reason for each entry; test-only
+helpers live in ``tests/oracles.py``.  A CLI process loads only the layers
+its subcommand runs, checked in a fresh interpreter.
 """
 
 import ast
@@ -11,6 +13,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -50,6 +53,88 @@ def test_import_findings_detect_both_faults():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_package_imports_are_clean(module):
     assert import_findings((SRC / module).read_text()) == []
+
+
+# Public names with no reader in src/, each with the reason it stays there.
+NO_SRC_CALLER = {
+    "bounds.audit_all": "perfbench's library-warm workload audits the whole registry through it",
+    "permgroup.PermGroup.subgroup": "perfbench's library-warm workload builds its subgroups through it",
+    "ramification.deuring_shafarevich": "the Sylow-quotient consistency check planned in ROADMAP.md calls it",
+}
+
+
+def _loads(node):
+    """How often each name is loaded under ``node``: a bare name as ``name``, an attribute as ``.name``."""
+    return Counter(n.id if isinstance(n, ast.Name) else "." + n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def _public_definitions(tree):
+    """(qualified name, node) for each public function, class and constant of a module,
+    and each public method or property of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
+def unused_public_names(sources):
+    """Sorted ``module.name`` for each public definition that no code in ``sources`` loads
+    outside the definition itself; ``sources`` maps module names to their text.
+
+    A module-level name is read where it is loaded as a name or an attribute,
+    a method or property only where it is loaded as an attribute.  Matching
+    is by name alone, so a dead definition whose name is loaded elsewhere
+    for another reason (a live method, a local variable) goes unnoticed.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for qualname, node in _public_definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            keys = ["." + name] if "." in qualname else [name, "." + name]
+            own = _loads(node)
+            if not name.startswith("_") and all(loads[key] == own[key] for key in keys):
+                found.append(f"{module}.{qualname}")
+    return sorted(found)
+
+
+def test_unused_public_names_detects_each_kind():
+    sources = {
+        "a": "LIMIT = 3\nSPARE = 4\n_PRIVATE = 5\n"
+             "def used():\n    return LIMIT\n"
+             "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+             "class Shape:\n"
+             "    def area(self):\n        return self.side()\n"
+             "    def side(self):\n        return 1\n"
+             "    @property\n    def name(self):\n        return 'x'\n"
+             "    def __repr__(self):\n        return ''\n"
+             "class Spare:\n    pass\n",
+        "b": "from .a import Shape, used\nused()\nShape().area()\nname = 'local'\nname.upper()\n",
+    }
+    assert unused_public_names(sources) == ["a.SPARE", "a.Shape.name", "a.Spare", "a.recursive"]
+
+
+def _package_sources():
+    return {path.stem: path.read_text() for path in SRC.glob("*.py")}
+
+
+def test_every_public_name_has_a_reader_in_src():
+    assert sorted(set(unused_public_names(_package_sources())) - set(NO_SRC_CALLER)) == []
+
+
+def test_allow_list_names_exist_and_still_have_no_reader():
+    sources = _package_sources()
+    defined = {f"{module}.{qualname}" for module, text in sources.items()
+               for qualname, _ in _public_definitions(ast.parse(text))}
+    assert sorted(set(NO_SRC_CALLER) - defined) == []
+    assert sorted(set(NO_SRC_CALLER) - set(unused_public_names(sources))) == []
 
 
 def modules_loaded_by(code: str):

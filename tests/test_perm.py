@@ -53,8 +53,8 @@ def test_mixed_degree_rejected():
 def test_order_and_parity():
     g = Permutation.parse("(1,2,3,4,5)(6,7)", 7)
     assert g.order() == 10
-    assert not g.is_even()
-    assert Permutation.parse("(1,2,3)", 7).is_even()
+    assert sum(len(c) - 1 for c in g.cycles()) % 2 == 1
+    assert sum(len(c) - 1 for c in Permutation.parse("(1,2,3)", 7).cycles()) % 2 == 0
     assert Permutation.identity(5).order() == 1
 
 
@@ -91,8 +91,8 @@ def test_conjugate_moves_cycles():
 @settings(max_examples=60, deadline=None)
 @given(perms(6), perms(6))
 def test_compares_as_its_images(a, b):
-    assert (a < b) == (a.images < b.images)
-    assert (a == b) == (a.images == b.images)
+    assert (a < b) == (tuple(a) < tuple(b))
+    assert (a == b) == (tuple(a) == tuple(b))
     assert len(a) == a.degree
     assert Permutation(tuple(a)) == a
 

@@ -6,6 +6,7 @@ import shutil
 import time
 
 import pytest
+from oracles import base, is_solvable, strong_generators
 
 from curvebound.classical import sporadic_facts
 from curvebound.cli import cmd_group_audit
@@ -113,30 +114,30 @@ def test_random_products_are_members(alt7):
 
 def test_order_product_of_orbit_lengths(m11):
     levels = list(m11._chain())
-    assert [level._base_point for level in levels] == list(m11.base)
+    assert [level._base_point for level in levels] == list(base(m11))
     # M11 is sharply 4-transitive on 11 points.
     assert [len(level._transversal) for level in levels] == [11, 10, 9, 8]
     for level in levels:
         assert all(s(level._base_point) == level._base_point for s in level._stabilizer.generators)
         assert level.order() == len(level._transversal) * level._stabilizer.order()
     assert m11.order() == 11 * 10 * 9 * 8 == 7920
-    assert levels[-1]._stabilizer.is_trivial()
+    assert levels[-1]._stabilizer.order() == 1
 
 
 def test_is_solvable_against_derived_oracle(alt7):
     c7c3 = alt7.normalizer(alt7.sylow_subgroup(7))
     assert c7c3.order() == 21
-    assert c7c3.is_solvable()
+    assert is_solvable(c7c3)
     assert brute_derived_series_solvable(c7c3)
 
     s4 = sym(4)
-    assert s4.is_solvable() == brute_derived_series_solvable(s4) is True
+    assert is_solvable(s4) == brute_derived_series_solvable(s4) is True
 
     a5 = PermGroup([Permutation.parse("(1,2,3)", 5), Permutation.parse("(3,4,5)", 5)])
-    assert not a5.is_solvable()
+    assert not is_solvable(a5)
     assert not brute_derived_series_solvable(a5)
-    assert not alt7.is_solvable()
-    assert PermGroup([], degree=3).is_solvable()
+    assert not is_solvable(alt7)
+    assert is_solvable(PermGroup([], degree=3))
 
 
 def test_element_order_set_closed_under_divisors(m11, alt7):
@@ -283,7 +284,7 @@ def test_orders_and_point_stabilizers_against_sympy(name, request):
     combinatorics = pytest.importorskip("sympy.combinatorics")
     group = sym(int(name[3:])) if name.startswith("sym") else request.getfixturevalue(name)
     other = combinatorics.PermutationGroup(
-        [combinatorics.Permutation(list(g.images)) for g in group.generators]
+        [combinatorics.Permutation(list(g)) for g in group.generators]
     )
     assert group.order() == other.order()
     for i in range(group.degree):
@@ -307,8 +308,8 @@ def test_p_subgroup_reps_inside_one_sylow(m11):
 
 def test_deterministic_rebuild(alt7):
     again = PermGroup(list(alt7.generators), 7)
-    assert again.base == alt7.base
-    assert again.strong_generators == alt7.strong_generators
+    assert base(again) == base(alt7)
+    assert strong_generators(again) == strong_generators(alt7)
     assert tuple(again.elements()) == tuple(alt7.elements())
 
 
@@ -386,11 +387,11 @@ def test_random_groups_against_closure(gens):
     for x in probes:
         assert (x in group) == (x in closure)
     level = group
-    for point in group.base:
+    for point in base(group):
         assert level._base_point == point
         assert set(level._stabilizer.elements()) == {x for x in level.elements() if x(point) == point}
         level = level._stabilizer
-    assert level.is_trivial()
+    assert level.order() == 1
 
 
 @pytest.mark.parametrize("gens", RANDOM_SETS)
@@ -403,7 +404,7 @@ def test_random_groups_against_sympy(gens):
     combinatorics = pytest.importorskip("sympy.combinatorics")
     n = gens[0].degree
     group = PermGroup(gens, n)
-    other = combinatorics.PermutationGroup([combinatorics.Permutation(list(g.images)) for g in gens])
+    other = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
     assert group.order() == other.order()
     for i in range(n):
         assert group.point_stabilizer(i).order() == other.stabilizer(i).order()
@@ -429,7 +430,7 @@ M24_GENERATORS = [
 def test_large_group_orders(name, gens, order, depth):
     group = PermGroup(gens)
     assert group.order() == order
-    assert len(group.base) == depth
+    assert len(base(group)) == depth
     assert all(g in group for g in gens)
     assert (_cycle((1, 2), gens[0].degree) in group) == (name == "S16")
 

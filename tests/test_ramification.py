@@ -3,18 +3,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import UnboundedInstanceError, solve_branch_data
 
 from curvebound.classical import sporadic_facts
 from curvebound.ramification import (
     RamSignature,
-    UnboundedInstanceError,
     WildStabilizer,
     case_i_ii_coefficient,
     deuring_shafarevich,
     enumerate_case_iii,
     hurwitz_genus,
     kummer_genus,
-    solve_branch_data,
     wild_different,
 )
 
