@@ -107,7 +107,6 @@ def _split_point(b1: PowerBound, b2: PowerBound):
 
 @dataclass(frozen=True)
 class AuditReport:
-    claim_id: str
     verdict: str  # "holds" | "fails" | "holds-on-range"
     witness: int | None = None
     note: str = ""
@@ -141,11 +140,11 @@ def dominates(b1: PowerBound, b2: PowerBound, g_min: int, g_max=None) -> AuditRe
     for c in sorted(checkpoints):
         if compare_at(b1, b2, c) >= 0:
             witness = c if good is None else _smallest_failure(b1, b2, good, c)
-            return AuditReport("dominates", "fails", witness, note=note)
+            return AuditReport("fails", witness, note=note)
         good = c
     if g_max is None and tail >= 0:
-        return AuditReport("dominates", "holds-on-range", note="dominance degrades at infinity; " + note)
-    return AuditReport("dominates", "holds", note=note)
+        return AuditReport("holds-on-range", note="dominance degrades at infinity; " + note)
+    return AuditReport("holds", note=note)
 
 
 def _sign_at_infinity(b1: PowerBound, b2: PowerBound) -> int:
@@ -224,14 +223,14 @@ def poly_positive_from(coeffs, start: int) -> AuditReport:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
-        return AuditReport("poly", "fails", witness=start, note="zero polynomial")
+        return AuditReport("fails", witness=start, note="zero polynomial")
     if coeffs[-1] <= 0:
-        return AuditReport("poly", "fails", witness=None, note="non-positive leading coefficient")
+        return AuditReport("fails", witness=None, note="non-positive leading coefficient")
     horizon = max(start, _lagrange_root_bound(coeffs) + 1)
     for x in range(start, horizon + 1):
         if _poly_eval(coeffs, x) <= 0:
-            return AuditReport("poly", "fails", witness=x)
-    return AuditReport("poly", "holds")
+            return AuditReport("fails", witness=x)
+    return AuditReport("holds")
 
 
 def exp_upper(x: Fraction) -> Fraction:
@@ -288,18 +287,21 @@ def _poly_scale(a, c):
 class Step:
     """One audited inequality step.
 
-    ``kind`` selects the decision procedure, ``expect`` freezes the verified
-    truth of the claim, and ``slip=True`` marks claims false exactly as
-    printed; a companion step carries the validated replacement.
+    ``kind`` selects the decision procedure, and ``slip=True`` marks claims
+    false exactly as printed; a companion step carries the validated
+    replacement.  ``expect`` is the verdict the audit must return.
     """
 
     step_id: str
     kind: str
     anchor: str
     params: tuple
-    expect: str = "holds"
     slip: bool = False
     note: str = ""
+
+    @property
+    def expect(self) -> str:
+        return "fails" if self.slip else "holds"
 
 
 def _min_even_genus(order_bound: int) -> int:
@@ -317,7 +319,7 @@ def _min_even_genus(order_bound: int) -> int:
 
 
 def _verdict(step, ok: bool, witness=None):
-    return AuditReport(step.step_id, "holds" if ok else "fails", witness, note=step.note)
+    return AuditReport("holds" if ok else "fails", witness, note=step.note)
 
 
 def _const_step(step):
@@ -336,7 +338,7 @@ def _even_genus_step(step):
     order_bound, expected_g = step.params
     got = _min_even_genus(order_bound)
     ok = got == expected_g
-    return AuditReport(step.step_id, "holds" if ok else "fails", witness=None if ok else got,
+    return AuditReport("holds" if ok else "fails", witness=None if ok else got,
                        note=step.note or f"smallest even g with 84g(g-1) >= {order_bound} is {got}")
 
 
@@ -344,13 +346,13 @@ def _dominates_step(step):
     b1, b2, g_min, g_max = step.params
     rep = dominates(b1, b2, g_min, g_max)
     note = (step.note + ("; " if step.note else "") + rep.note).strip()
-    return AuditReport(step.step_id, rep.verdict, rep.witness, note=note)
+    return AuditReport(rep.verdict, rep.witness, note=note)
 
 
 def _poly_step(step):
     coeffs, start = step.params
     rep = poly_positive_from(coeffs, start)
-    return AuditReport(step.step_id, rep.verdict, rep.witness, note=step.note or rep.note)
+    return AuditReport(rep.verdict, rep.witness, note=step.note or rep.note)
 
 
 def _exp_step(step):
@@ -373,7 +375,7 @@ def _per_q_step(step):
     if tail_coeffs is not None:
         tail = poly_positive_from(tail_coeffs, _tail_start)
         if tail.verdict != "holds":
-            return AuditReport(step.step_id, "fails", witness=tail.witness,
+            return AuditReport("fails", witness=tail.witness,
                                note=step.note + " (tail polynomial)")
     return _verdict(step, True)
 
@@ -381,12 +383,12 @@ def _per_q_step(step):
 def _point_fail_step(step):
     lhs, rhs, witness = step.params
     really_fails = _sign(_pair(lhs), _pair(rhs)) >= 0
-    return AuditReport(step.step_id, "fails" if really_fails else "holds",
+    return AuditReport("fails" if really_fails else "holds",
                        witness=witness if really_fails else None, note=step.note)
 
 
 def _analytic_step(step):
-    return AuditReport(step.step_id, "holds", note="analytic lemma, outside exact-arithmetic scope: " + step.note)
+    return AuditReport("holds", note="analytic lemma, outside exact-arithmetic scope: " + step.note)
 
 
 def _poly_zero_step(step):
@@ -522,14 +524,14 @@ def registry():
         Step("psl2.c2.c6676", "const", "twisted constant headroom", (F(59), 1, 1, F(6676, 100), False)),
         Step("psl2.c2.s133_printed", "point_fail", "printed step fails at the even genus 2",
              (F(6676, 100) ** 4 * 3**7, F(133) ** 4 * 2**7, 2),
-             expect="fails", slip=True,
+             slip=True,
              note="66.76(g+1)^(7/4) < 133 g^(7/4) is false at g = 2; validated from 3 in psl2.c2.s133_valid"),
         Step("psl2.c2.s133_valid", "dominates", "validated twisted step from g >= 3",
              (PowerBound(F(6676, 100), shift=1, num=7, den=4), PowerBound(F(133), num=7, den=4), 3, None),
              note="the twisted subcase forces q >= 125 and hence far larger g"),
         Step("psl2.c2.s266_printed", "point_fail", "doubled printed step fails at the even genus 2",
              (F(13352, 100) ** 4 * 3**7, F(266) ** 4 * 2**7, 2),
-             expect="fails", slip=True,
+             slip=True,
              note="2*66.76(g+1)^(7/4) <= 266 g^(7/4) is false at g = 2; validated from 3 in psl2.c2.s266_valid"),
         Step("psl2.c2.s266_valid", "dominates", "validated doubled step from g >= 3",
              (PowerBound(F(13352, 100), shift=1, num=7, den=4), PowerBound(F(266), num=7, den=4), 3, None)),
@@ -551,7 +553,7 @@ def registry():
              note="242^5*90 <= 595.21^5"),
         Step("psu.assembly_printed", "point_fail", "printed assembly drops a 90^(2/5) factor",
              (9360**5 * 3510**3, 242**5 * 90 * 39**8, 40),
-             expect="fails", slip=True,
+             slip=True,
              note="even the leading term 240(g-1)(90(g-1))^(3/5) exceeds 242*90^(1/5)(g-1)^(8/5) at g = 40; "
                   "the net claim is validated per q in psu.assembly_perq"),
         Step("psu.assembly_perq", "per_q", "net bound |PSU3(q)| < 595.21 (g-1)^(8/5) on its branch",
@@ -590,7 +592,7 @@ def registry():
         Step("psl3.q2q1", "poly", "q^2+q+1 < 2q^2 for q >= 2", ((-1, -1, 1), 2)),
         Step("psl3.assembly_printed", "point_fail", "printed assembly drops a 90^(1/3) factor",
              (1620**3 * 810, 720**3 * 9**4, 10),
-             expect="fails", slip=True,
+             slip=True,
              note="180(g-1)((90(g-1))^(1/6)+1)^2 expands to 720*90^(1/3)(g-1)^(4/3), not 720(g-1)^(4/3); "
                   "the net claim is validated per q in psl3.assembly_perq"),
         Step("psl3.assembly_perq", "per_q", "net bound |PGL3(q)| < 290 (g-1)^(7/4) on its branch",

@@ -1,10 +1,10 @@
 """Closed-form orders for the classical families and sporadic group facts.
 
-The PSL/PGL/PSU/PGU orders, times an outer factor of field automorphisms,
-are exact integer formulas.  Facts about the two sporadic candidates (the
-alternating group on 7 points and the Mathieu group on 11 points) are always
-recomputed from their permutation representations, never read from a table;
-``sporadic_facts`` is the only path that imports the group layer.
+The PSL/PGL/PSU/PGU orders are exact integer formulas.  Facts about the two
+sporadic candidates (the alternating group on 7 points and the Mathieu group
+on 11 points) are always recomputed from their permutation representations,
+never read from a table; ``sporadic_facts`` is the only path that imports the
+group layer.
 """
 
 from __future__ import annotations
@@ -18,28 +18,17 @@ FAMILIES = ("PSL2", "PGL2", "PSL3", "PGL3", "PSU3", "PGU3")
 SPORADIC_WILD_PRIMES = {"ALT7": (3, 5, 7), "M11": (3, 5, 11)}
 
 
-def field_aut_divisors(q: int):
-    """Odd divisors of k where q = d^k: the admissible outer cyclic orders."""
-    _, k = factor_prime_power(q)
-    return {r for r in range(1, k + 1) if k % r == 0 and r % 2 == 1}
-
-
 @dataclass(frozen=True)
 class FamilySpec:
-    """One candidate group: a classical family at a prime power q.
-
-    ``field_aut_factor`` is the order of the outer cyclic factor acting by
-    field automorphisms; it must be an odd divisor of k.
-    """
+    """One candidate group: a classical family at a prime power q."""
 
     family: str
     q: int
-    field_aut_factor: int = 1
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        outer = field_aut_divisors(self.q)
+        factor_prime_power(self.q)  # raises unless q is a prime power
         if self.family in ("PSL2", "PGL2"):
             if self.q < 5 or self.q % 2 == 0:
                 raise ValueError("PSL(2,q) case requires odd q >= 5")
@@ -49,33 +38,29 @@ class FamilySpec:
         elif self.family in ("PSU3", "PGU3"):
             if self.q % 4 != 1:
                 raise ValueError("PSU(3,q) case requires q = 1 mod 4")
-        if self.field_aut_factor not in outer:
-            raise ValueError(f"outer factor {self.field_aut_factor} not in {sorted(outer)}")
 
 
 def family_order(spec: FamilySpec) -> int:
     """Exact order of the group described by ``spec``."""
     q = spec.q
     if spec.family == "PSL2":
-        base = q * (q - 1) * (q + 1) // 2
+        return q * (q - 1) * (q + 1) // 2
     elif spec.family == "PGL2":
-        base = q * (q - 1) * (q + 1)
+        return q * (q - 1) * (q + 1)
     elif spec.family == "PSL3":
-        base = q**3 * (q**3 - 1) * (q**2 - 1) // gcd(3, q - 1)
+        return q**3 * (q**3 - 1) * (q**2 - 1) // gcd(3, q - 1)
     elif spec.family == "PGL3":
-        base = q**3 * (q**3 - 1) * (q**2 - 1)
+        return q**3 * (q**3 - 1) * (q**2 - 1)
     elif spec.family == "PSU3":
-        base = q**3 * (q**2 - 1) * (q**3 + 1) // gcd(3, q + 1)
+        return q**3 * (q**2 - 1) * (q**3 + 1) // gcd(3, q + 1)
     else:  # PGU3
-        base = q**3 * (q**2 - 1) * (q**3 + 1)
-    return base * spec.field_aut_factor
+        return q**3 * (q**2 - 1) * (q**3 + 1)
 
 
 @dataclass(frozen=True)
 class GroupFacts:
     """Enumeration-ready facts: wild stabilizer shapes and tame orders."""
 
-    name: str
     p: int
     order: int
     wild_catalog: tuple  # sorted (q1, E1) pairs
@@ -120,7 +105,6 @@ def sporadic_facts(name: str, p: int) -> GroupFacts:
     }
     tame = {e for e in group.element_order_set() if e > 1 and e % p != 0}
     return GroupFacts(
-        name=key,
         p=p,
         order=group.order(),
         wild_catalog=tuple(sorted(wild)),

@@ -19,9 +19,10 @@ from .ramification import kummer_genus
 ZETA_GENUS_CAP = 3
 ZETA_POINT_CAP = 10**7
 # Caps on a parsed curve, checked before any list is sized or any trial division runs.
-# The Cartier route's work grows about as m (deg f)^3 p^2.  At the corner (p = 31, m = 7
-# or 8, a dense f of degree 32, genus about 105) it takes 3-4 s on a 2-vCPU VM, and the
-# zeta oracle at p = 31 and genus 3 about 6 s.
+# The Cartier route raises f to at most m - 1 powers of degree below p deg f, then squares
+# a g x g matrix about log2(g) times.  At the corner (p = 31, m = 8, a dense f of degree 32,
+# genus 105) a cold ``prank`` takes 1.2-1.4 s on a 2-vCPU VM: 0.2 s for the matrix, 0.8 s
+# for its stable rank.  The zeta oracle at p = 31 and genus 3 takes about 6 s.
 PRIME_CAP = 31
 COVER_DEGREE_CAP = 8
 POLY_DEGREE_CAP = 32
@@ -134,32 +135,30 @@ class CartierMatrix:
 def cartier_matrix(model: CurveModel) -> CartierMatrix:
     """Cartier action: the (a,b) column lists coefficients over the basis.
 
-    For m = 2 the classical rule applies on the presentation basis
-    x^(i-1) dx / y, 1 <= i <= (deg f - 1)//2: the (i,j) entry is the
-    coefficient c_(i*p - j) of f^((p-1)/2).  For m > 2, each basis
-    differential x^(a-1) dx / y^b maps into the y^b' stratum, b'*p = b
-    (mod m), with coefficients read off x^(a-1) f^((b'p-b)/m); the monomial
-    basis is validated against the genus first.
+    The basis differential x^(a-1) dx / y^b maps into the y^b' stratum,
+    b' = b/p (mod m), and its coefficient on x^(a'-1) dx / y^b' is the
+    coefficient of x^(a'p - a) in h_b = f^((b'p - b)/m); each h_b is computed
+    once.  For m = 2 this is the classical rule on the presentation basis
+    x^(a-1) dx / y, 1 <= a <= (deg f - 1)//2, with h = f^((p-1)/2); for
+    m > 2 the monomial basis is validated against the genus first.
     """
     m, p, f = model.m, model.p, model.f
     if m == 2:
-        g = genus_of_model(model)
-        h = f ** ((p - 1) // 2)
-        rows = tuple(tuple(h.coeff(i * p - j) for j in range(1, g + 1)) for i in range(1, g + 1))
-        return CartierMatrix(p=p, entries=rows, basis=tuple((j, 1) for j in range(1, g + 1)))
-    basis = differential_basis(model)
-    index = {ab: i for i, ab in enumerate(basis)}
-    size = len(basis)
-    rows = [[0] * size for _ in range(size)]
-    for j, (a, b) in enumerate(basis):
-        b_prime = next(bp for bp in range(1, m) if (bp * p) % m == b % m)
-        exponent = (b_prime * p - b) // m
-        poly = FpPoly(p, (0,) * (a - 1) + (1,)) * f**exponent
-        for (a_t, b_t), i in index.items():
-            if b_t != b_prime:
-                continue
-            rows[i][j] = poly.coeff(a_t * p - 1)
-    return CartierMatrix(p=p, entries=tuple(tuple(r) for r in rows), basis=basis)
+        basis = tuple((a, 1) for a in range(1, genus_of_model(model) + 1))
+    else:
+        basis = differential_basis(model)
+    strata = {}
+    for i, (a, b) in enumerate(basis):
+        strata.setdefault(b, []).append((i, a))
+    p_inv = pow(p, -1, m)
+    rows = [[0] * len(basis) for _ in basis]
+    for b, columns in strata.items():
+        b_prime = b * p_inv % m
+        h = f ** ((b_prime * p - b) // m)
+        for i, a_t in strata.get(b_prime, ()):
+            for j, a in columns:
+                rows[i][j] = h.coeff(a_t * p - a)
+    return CartierMatrix(p=p, entries=tuple(map(tuple, rows)), basis=basis)
 
 
 def _mat_mul(a, b, p):
@@ -200,11 +199,8 @@ def stable_rank(matrix: CartierMatrix) -> int:
     lemma rank(M^k) is the same for every k >= g, so M is squared
     (g-1).bit_length() times, to M^k with g <= k < 2g.
     """
-    g = matrix.size
-    if g == 0:
-        return 0
     product = matrix.entries
-    for _ in range((g - 1).bit_length()):
+    for _ in range((matrix.size - 1).bit_length()):
         product = _mat_mul(product, product, matrix.p)
     return _rank_mod_p(product, matrix.p)
 

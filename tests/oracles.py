@@ -2,13 +2,22 @@
 
 None of these is on a reproduction path, so they live here rather than in
 the package: second routes to values the package computes (a left-fold
-power, a p-rank read off point counts), properties read off a stabilizer
-chain, and the exhaustive branch-data solver.
+power, a p-rank read off point counts, the Cartier matrix by two rules),
+properties read off a stabilizer chain, and the exhaustive branch-data
+solver.
 """
 
 from curvebound import bounds
 from curvebound.fppoly import FpPoly
-from curvebound.prank import cartier_matrix, l_polynomial_p_rank, stable_rank, zeta_l_polynomial
+from curvebound.prank import (
+    CartierMatrix,
+    cartier_matrix,
+    differential_basis,
+    genus_of_model,
+    l_polynomial_p_rank,
+    stable_rank,
+    zeta_l_polynomial,
+)
 
 # -- polynomials over GF(p) ---------------------------------------------------
 
@@ -57,6 +66,30 @@ def p_rank(model) -> int:
 def zeta_prank_oracle(model) -> int:
     """The point-count route: the degree of the zeta numerator reduced mod p."""
     return l_polynomial_p_rank(zeta_l_polynomial(model), model.p)
+
+
+def cartier_matrix_two_formulas(model) -> CartierMatrix:
+    """The Cartier matrix by two separate rules, one power of f per column.
+
+    For m = 2 the (i,j) entry is the coefficient c_(i*p - j) of f^((p-1)/2)
+    on the presentation basis.  For m > 2 the column of x^(a-1) dx / y^b is
+    read off x^(a-1) f^((b'p-b)/m), b'p = b (mod m), with b' found by search.
+    """
+    m, p, f = model.m, model.p, model.f
+    if m == 2:
+        g = genus_of_model(model)
+        h = f ** ((p - 1) // 2)
+        rows = tuple(tuple(h.coeff(i * p - j) for j in range(1, g + 1)) for i in range(1, g + 1))
+        return CartierMatrix(p=p, entries=rows, basis=tuple((j, 1) for j in range(1, g + 1)))
+    basis = differential_basis(model)
+    rows = [[0] * len(basis) for _ in basis]
+    for j, (a, b) in enumerate(basis):
+        b_prime = next(bp for bp in range(1, m) if (bp * p) % m == b % m)
+        poly = FpPoly(p, (0,) * (a - 1) + (1,)) * f ** ((b_prime * p - b) // m)
+        for i, (a_t, b_t) in enumerate(basis):
+            if b_t == b_prime:
+                rows[i][j] = poly.coeff(a_t * p - 1)
+    return CartierMatrix(p=p, entries=tuple(tuple(r) for r in rows), basis=basis)
 
 
 # -- permutation groups ----------------------------------------------------------

@@ -5,7 +5,6 @@ from curvebound.classical import (
     GroupFacts,
     factor_prime_power,
     family_order,
-    field_aut_divisors,
     sporadic_facts,
 )
 
@@ -37,10 +36,6 @@ def test_pgl3_index(q):
     assert family_order(FamilySpec("PGL3", q)) == gcd(3, q - 1) * family_order(FamilySpec("PSL3", q))
 
 
-def test_outer_factor_scales_order():
-    assert family_order(FamilySpec("PSL2", 125, 3)) == 3 * family_order(FamilySpec("PSL2", 125))
-
-
 def test_congruence_validation():
     with pytest.raises(ValueError):
         FamilySpec("PSL3", 5)  # needs q = 3 mod 4
@@ -51,18 +46,9 @@ def test_congruence_validation():
     with pytest.raises(ValueError):
         FamilySpec("PSL2", 3)
     with pytest.raises(ValueError):
-        FamilySpec("PSL2", 25, 2)  # outer factor must be odd
-    with pytest.raises(ValueError):
-        FamilySpec("PSL2", 125, 9)  # 9 does not divide k = 3
+        FamilySpec("PSL2", 15)  # q must be a prime power
     with pytest.raises(ValueError):
         FamilySpec("ALT7", 7)
-
-
-def test_field_aut_divisors():
-    assert field_aut_divisors(5**3) == {1, 3}
-    assert field_aut_divisors(5) == {1}
-    assert field_aut_divisors(3**9) == {1, 3, 9}
-    assert field_aut_divisors(3**6) == {1, 3}
 
 
 def test_sporadic_facts_alt7():
@@ -124,10 +110,10 @@ def test_sporadic_facts_rejects_bad_pairs():
 
 def test_group_facts_validation():
     with pytest.raises(ValueError):
-        GroupFacts("X", 3, 27, ((9, 12),), ())  # complement not coprime
+        GroupFacts(3, 27, ((9, 12),), ())  # complement not coprime
     with pytest.raises(ValueError):
-        GroupFacts("X", 3, 27, ((9, 16),), ())  # complement above q1 - 1
+        GroupFacts(3, 27, ((9, 16),), ())  # complement above q1 - 1
     with pytest.raises(ValueError):
-        GroupFacts("X", 3, 27, ((25, 4),), ())  # wild part not a power of p
+        GroupFacts(3, 27, ((25, 4),), ())  # wild part not a power of p
     with pytest.raises(ValueError):
-        GroupFacts("X", 3, 27, (), (3,))  # tame order divisible by p
+        GroupFacts(3, 27, (), (3,))  # tame order divisible by p

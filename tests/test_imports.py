@@ -69,15 +69,23 @@ def _loads(node):
                    if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
 
 
+def _is_dataclass(node):
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators)
+
+
 def _public_definitions(tree):
     """(qualified name, node) for each public function, class and constant of a module,
-    and each public method or property of its classes."""
+    and each public method, property or dataclass field of its classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
             if isinstance(node, ast.ClassDef):
                 yield from ((f"{node.name}.{item.name}", item) for item in node.body
                             if isinstance(item, ast.FunctionDef))
+                if _is_dataclass(node):
+                    yield from ((f"{node.name}.{item.target.id}", item) for item in node.body
+                                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
@@ -88,9 +96,11 @@ def unused_public_names(sources):
     outside the definition itself; ``sources`` maps module names to their text.
 
     A module-level name is read where it is loaded as a name or an attribute,
-    a method or property only where it is loaded as an attribute.  Matching
-    is by name alone, so a dead definition whose name is loaded elsewhere
-    for another reason (a live method, a local variable) goes unnoticed.
+    a method, property or dataclass field only where it is loaded as an
+    attribute.  Matching is by name alone, so a dead definition whose name
+    is loaded elsewhere for another reason (a live method, a local variable,
+    another object's attribute) goes unnoticed: a field ``name`` that
+    nothing reads hides behind every ``args.name``.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
     loads = sum((_loads(tree) for tree in trees.values()), Counter())
@@ -115,10 +125,14 @@ def test_unused_public_names_detects_each_kind():
              "    def side(self):\n        return 1\n"
              "    @property\n    def name(self):\n        return 'x'\n"
              "    def __repr__(self):\n        return ''\n"
-             "class Spare:\n    pass\n",
-        "b": "from .a import Shape, used\nused()\nShape().area()\nname = 'local'\nname.upper()\n",
+             "class Spare:\n    pass\n"
+             "@dataclass(frozen=True)\nclass Point:\n    x: int\n    tag: str = ''\n    _cache: int = 0\n"
+             "class Plain:\n    label: str\n",
+        "b": "from .a import Plain, Point, Shape, used\nused()\nShape().area()\nname = 'local'\nname.upper()\n"
+             "Point(1).x\nPlain()\n",
     }
-    assert unused_public_names(sources) == ["a.SPARE", "a.Shape.name", "a.Spare", "a.recursive"]
+    assert unused_public_names(sources) == [
+        "a.Point.tag", "a.SPARE", "a.Shape.name", "a.Spare", "a.recursive"]
 
 
 def _package_sources():

@@ -4,7 +4,15 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import evaluate, p_rank, pow_foldl, scale_x, shift_x, zeta_prank_oracle
+from oracles import (
+    cartier_matrix_two_formulas,
+    evaluate,
+    p_rank,
+    pow_foldl,
+    scale_x,
+    shift_x,
+    zeta_prank_oracle,
+)
 
 from curvebound.fppoly import FpPoly, field_tables, squarefree_decomposition
 from curvebound.prank import (
@@ -178,6 +186,58 @@ def test_cartier_elliptic_hasse_invariant():
     assert cartier_matrix(m).entries == ((h.coeff(4),),)
 
 
+def _squarefree(rng, p, degree, dense=False):
+    """A random squarefree f of the given degree over GF(p); every coefficient nonzero if dense."""
+    low = 1 if dense else 0
+    while True:
+        f = FpPoly(p, [rng.randrange(low, p) for _ in range(degree)] + [rng.randrange(1, p)])
+        if all(mult == 1 for _, mult in squarefree_decomposition(f)):
+            return f
+
+
+def test_cartier_matrix_computes_one_power_per_stratum(monkeypatch):
+    """y^7 = a dense f of degree 32 over GF(31) has genus 93 but only 6 strata y^b,
+    and y^2 = f has one; each stratum needs one power of f."""
+    y7 = CurveModel(7, _squarefree(random.Random(31), 31, 32, dense=True), 31)
+    y2 = model("y^2 = x^9 + 3*x^4 + x + 1", 31)
+    calls = []
+    power = FpPoly.__pow__
+
+    def counted(f, k, modulus=None):
+        calls.append(k)
+        return power(f, k, modulus)
+
+    monkeypatch.setattr(FpPoly, "__pow__", counted)
+    matrix = cartier_matrix(y7)
+    assert matrix.size == 93
+    assert len({b for _, b in matrix.basis}) == 6
+    assert len(calls) == len(set(calls)) == 6
+    calls.clear()
+    assert cartier_matrix(y2).size == 4
+    assert calls == [15]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_cartier_matrix_matches_the_two_formula_reference(m):
+    rng = random.Random(m)
+    for p in (3, 5, 7, 11, 13):
+        if p % m == 0:
+            continue
+        for degree in range(3, 10):
+            curve = CurveModel(m, _squarefree(rng, p, degree), p)
+            assert cartier_matrix(curve) == cartier_matrix_two_formulas(curve), (m, p, curve.f.coeffs)
+
+
+def test_cartier_matrix_matches_the_two_formula_reference_non_squarefree():
+    """y^2 = x (x-1)^2 (x-2)^2 (x-3) over GF(7): the presentation basis has the
+    arithmetic genus 2, though the smooth model has genus 0."""
+    f = FpPoly(7, (0, 1)) * FpPoly(7, (-1, 1)) ** 2 * FpPoly(7, (-2, 1)) ** 2 * FpPoly(7, (-3, 1))
+    curve = CurveModel(2, f, 7)
+    assert cartier_matrix(curve).size == 2
+    assert normalization_genus(curve) == 0
+    assert cartier_matrix(curve) == cartier_matrix_two_formulas(curve)
+
+
 def test_stable_rank_values():
     nonsingular = cartier_matrix(model("y^2 = x^5 - x", 3))
     assert stable_rank(nonsingular) == 2
@@ -187,6 +247,7 @@ def test_stable_rank_values():
 
     nilpotent = CartierMatrix(p=3, entries=((0, 1), (0, 0)), basis=((1, 1), (2, 1)))
     assert stable_rank(nilpotent) == 0  # rank drops when the product is iterated
+    assert stable_rank(CartierMatrix(p=3, entries=(), basis=())) == 0
 
 
 def test_stable_rank_of_nilpotent_jordan_blocks():

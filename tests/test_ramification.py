@@ -194,7 +194,7 @@ def test_case_coefficients():
 def test_coefficient_single_entry():
     from curvebound.classical import GroupFacts
 
-    facts = GroupFacts("X", 5, 20, ((5, 1),), (2,))
+    facts = GroupFacts(5, 20, ((5, 1),), (2,))
     assert case_i_ii_coefficient(facts) == Fraction(2 * 5, 3)
 
 
