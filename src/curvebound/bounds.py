@@ -17,36 +17,36 @@ chain passes iff every step reproduces its frozen verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd, isqrt, lcm
 
+from . import Record
+from .arith import factorize
 from .classical import FamilySpec, family_order
-from .fppoly import factorize
 
 F = Fraction
 
 # -- power bounds -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerBound:
+class PowerBound(Record):
     """The function g -> coeff * (mult * (g + shift)^num)^(1/den).
 
     ``coeff`` is an exact positive rational, ``mult`` a positive integer
     radicand multiplier, and num/den the exponent of (g + shift).
     """
 
-    coeff: Fraction
-    shift: int = 0
-    num: int = 1
-    den: int = 1
-    mult: int = 1
+    __slots__ = ("coeff", "shift", "num", "den", "mult")
 
-    def __post_init__(self):
-        if self.coeff <= 0 or self.den <= 0 or self.num < 0 or self.mult <= 0:
+    def __init__(self, coeff: Fraction, shift: int = 0, num: int = 1, den: int = 1, mult: int = 1):
+        if coeff <= 0 or den <= 0 or num < 0 or mult <= 0:
             raise ValueError("power bound must be positive with non-negative exponent")
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "mult", mult)
 
 
 def _sign(x, y) -> int:
@@ -105,15 +105,15 @@ def _split_point(b1: PowerBound, b2: PowerBound):
     return (alpha * b2.shift - beta * b1.shift) // (beta - alpha)
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    verdict: str  # "holds" | "fails" | "holds-on-range"
-    witness: int | None = None
-    note: str = ""
+class AuditReport(Record):
+    __slots__ = ("verdict", "witness", "note")
 
-    def __post_init__(self):
-        if self.verdict not in ("holds", "fails", "holds-on-range"):
-            raise ValueError(f"bad verdict {self.verdict!r}")
+    def __init__(self, verdict: str, witness: int | None = None, note: str = ""):
+        if verdict not in ("holds", "fails", "holds-on-range"):
+            raise ValueError(f"bad verdict {verdict!r}")
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "note", note)
 
 
 def dominates(b1: PowerBound, b2: PowerBound, g_min: int, g_max=None) -> AuditReport:
@@ -283,8 +283,7 @@ def _poly_scale(a, c):
 # -- the step registry -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     """One audited inequality step.
 
     ``kind`` selects the decision procedure, and ``slip=True`` marks claims
@@ -292,12 +291,15 @@ class Step:
     replacement.  ``expect`` is the verdict the audit must return.
     """
 
-    step_id: str
-    kind: str
-    anchor: str
-    params: tuple
-    slip: bool = False
-    note: str = ""
+    __slots__ = ("step_id", "kind", "anchor", "params", "slip", "note")
+
+    def __init__(self, step_id: str, kind: str, anchor: str, params: tuple, slip: bool = False, note: str = ""):
+        object.__setattr__(self, "step_id", step_id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "slip", slip)
+        object.__setattr__(self, "note", note)
 
     @property
     def expect(self) -> str:

@@ -9,35 +9,35 @@ group layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .fppoly import factor_prime_power
+from . import Record
+from .arith import factor_prime_power
 
 FAMILIES = ("PSL2", "PGL2", "PSL3", "PGL3", "PSU3", "PGU3")
 SPORADIC_WILD_PRIMES = {"ALT7": (3, 5, 7), "M11": (3, 5, 11)}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """One candidate group: a classical family at a prime power q."""
 
-    family: str
-    q: int
+    __slots__ = ("family", "q")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        factor_prime_power(self.q)  # raises unless q is a prime power
-        if self.family in ("PSL2", "PGL2"):
-            if self.q < 5 or self.q % 2 == 0:
+    def __init__(self, family: str, q: int):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        factor_prime_power(q)  # raises unless q is a prime power
+        if family in ("PSL2", "PGL2"):
+            if q < 5 or q % 2 == 0:
                 raise ValueError("PSL(2,q) case requires odd q >= 5")
-        elif self.family in ("PSL3", "PGL3"):
-            if self.q % 4 != 3:
+        elif family in ("PSL3", "PGL3"):
+            if q % 4 != 3:
                 raise ValueError("PSL(3,q) case requires q = 3 mod 4")
-        elif self.family in ("PSU3", "PGU3"):
-            if self.q % 4 != 1:
+        elif family in ("PSU3", "PGU3"):
+            if q % 4 != 1:
                 raise ValueError("PSU(3,q) case requires q = 1 mod 4")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "q", q)
 
 
 def family_order(spec: FamilySpec) -> int:
@@ -57,25 +57,29 @@ def family_order(spec: FamilySpec) -> int:
         return q**3 * (q**2 - 1) * (q**3 + 1)
 
 
-@dataclass(frozen=True)
-class GroupFacts:
-    """Enumeration-ready facts: wild stabilizer shapes and tame orders."""
+class GroupFacts(Record):
+    """Enumeration-ready facts: wild stabilizer shapes and tame orders.
 
-    p: int
-    order: int
-    wild_catalog: tuple  # sorted (q1, E1) pairs
-    tame_catalog: tuple  # sorted cyclic prime-to-p orders >= 2
+    ``wild_catalog`` holds sorted (q1, E1) pairs and ``tame_catalog`` the
+    sorted cyclic prime-to-p orders >= 2.
+    """
 
-    def __post_init__(self):
-        for q1, e1 in self.wild_catalog:
-            if gcd(e1, self.p) != 1 or e1 > q1 - 1:
+    __slots__ = ("p", "order", "wild_catalog", "tame_catalog")
+
+    def __init__(self, p: int, order: int, wild_catalog: tuple, tame_catalog: tuple):
+        for q1, e1 in wild_catalog:
+            if gcd(e1, p) != 1 or e1 > q1 - 1:
                 raise ValueError(f"invalid wild entry ({q1},{e1})")
             d, _ = factor_prime_power(q1)
-            if d != self.p:
-                raise ValueError(f"wild entry ({q1},{e1}) is not a {self.p}-power")
-        for e in self.tame_catalog:
-            if e < 2 or gcd(e, self.p) != 1:
+            if d != p:
+                raise ValueError(f"wild entry ({q1},{e1}) is not a {p}-power")
+        for e in tame_catalog:
+            if e < 2 or gcd(e, p) != 1:
                 raise ValueError(f"invalid tame order {e}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "wild_catalog", wild_catalog)
+        object.__setattr__(self, "tame_catalog", tame_catalog)
 
 
 def sporadic_facts(name: str, p: int) -> GroupFacts:

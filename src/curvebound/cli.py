@@ -4,20 +4,18 @@ Reports serialize deterministically (sorted keys, fixed separators), so a
 rerun on identical inputs is byte-identical.  JSON is the stable format and
 follows the schema shipped in ``data/report-schema-v1.json``; CSV uses
 RFC 4180 quoting; the text format is for reading and carries no stability
-guarantee.  Each command imports only the layers it runs.
+guarantee.  Each command imports only the layers and standard modules it
+computes with; ``csv`` is loaded only to write CSV.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 SCHEMA_VERSION = "1"
 
@@ -30,12 +28,14 @@ class UsageError(Exception):
     """A request the command cannot run; ``main`` reports it and exits 2."""
 
 
-@dataclass
 class Report:
-    command: list
-    input_digest: str
-    rows: list = field(default_factory=list)
-    verdict_summary: str = "holds"
+    __slots__ = ("command", "input_digest", "rows", "verdict_summary")
+
+    def __init__(self, command: list, input_digest: str):
+        self.command = command
+        self.input_digest = input_digest
+        self.rows = []
+        self.verdict_summary = "holds"
 
     def add(self, anchor: str, verdict: str, **payload):
         row = {"anchor": anchor, "verdict": verdict}
@@ -59,6 +59,7 @@ class Report:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
+        import csv
         keys = sorted({k for row in self.rows for k in row})
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
@@ -82,14 +83,14 @@ class Report:
 
 
 def _plain(value):
-    if isinstance(value, Fraction):
+    if isinstance(value, (bool, int, str)) or value is None:
+        return value
+    if hasattr(value, "denominator"):  # an exact rational, such as a Fraction
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return [_plain(v) for v in sorted(value)]
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
     return str(value)
 
 

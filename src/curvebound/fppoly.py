@@ -14,35 +14,7 @@ from array import array
 from functools import lru_cache
 from itertools import product
 
-
-def factorize(n: int):
-    """((prime, exponent), ...) for n by trial division, primes ascending; () for n < 2."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            out.append((d, k))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
-
-
-def factor_prime_power(q: int):
-    """(d, k) with q = d^k and d prime; raises if q is not a prime power."""
-    factors = factorize(q)
-    if len(factors) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return factors[0]
-
-
-@lru_cache(maxsize=None)
-def _is_prime(n: int) -> bool:
-    return factorize(n) == ((n, 1),)
+from .arith import factorize, is_prime
 
 
 class FpPoly:
@@ -51,7 +23,7 @@ class FpPoly:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         c = [x % p for x in coeffs]
         while c and c[-1] == 0:

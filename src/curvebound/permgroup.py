@@ -34,7 +34,7 @@ import re
 from functools import lru_cache
 from math import gcd
 
-from .fppoly import factorize
+from .arith import factorize
 from .perm import DegreeMismatchError, Permutation
 
 # Sorted elements take 72 B each at degree 9 and 160 B at degree 100 (tracemalloc), about

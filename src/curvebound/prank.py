@@ -10,11 +10,11 @@ exact; agreement between them is part of the test contract.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import comb, gcd
 
-from .fppoly import FpPoly, factorize, field_tables, squarefree_decomposition
-from .ramification import kummer_genus
+from . import Record
+from .arith import factorize
+from .fppoly import FpPoly, field_tables, squarefree_decomposition
 
 ZETA_GENUS_CAP = 3
 ZETA_POINT_CAP = 10**7
@@ -32,8 +32,7 @@ class UnsupportedModelError(ValueError):
     """The model violates a documented precondition of this machinery."""
 
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(Record):
     """Superelliptic presentation y^m = f(x) over GF(p).
 
     The cover must be irreducible: no prime divisor of m may divide every
@@ -43,21 +42,22 @@ class CurveModel:
     ``genus_of_model``.
     """
 
-    m: int
-    f: FpPoly
-    p: int
+    __slots__ = ("m", "f", "p")
 
-    def __post_init__(self):
-        if self.p < 3 or self.p != self.f.p:
+    def __init__(self, m: int, f: FpPoly, p: int):
+        if p < 3 or p != f.p:
             raise UnsupportedModelError("model requires an odd prime matching the polynomial")
-        if self.m < 2 or self.m % self.p == 0:
+        if m < 2 or m % p == 0:
             raise UnsupportedModelError("cover degree must be >= 2 and prime to p")
-        if self.f.is_zero() or self.f.degree < 1:
+        if f.is_zero() or f.degree < 1:
             raise UnsupportedModelError("right-hand side must be non-constant")
-        mults = [mult for _, mult in squarefree_decomposition(self.f)]
-        for d, _ in factorize(self.m):
+        mults = [mult for _, mult in squarefree_decomposition(f)]
+        for d, _ in factorize(m):
             if all(mu % d == 0 for mu in mults):
                 raise UnsupportedModelError("cover splits: an m-th root of f exists up to scalars")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "p", p)
         if genus_of_model(self) < 1:
             raise UnsupportedModelError("model has genus 0")
 
@@ -82,6 +82,30 @@ def normalization_genus(model: CurveModel) -> int:
     for poly, mult in squarefree_decomposition(model.f):
         exponents.extend([mult] * poly.degree)
     return kummer_genus(model.m, exponents, model.p)
+
+
+def kummer_genus(m: int, exponents, p: int) -> int:
+    """Genus of y^m = prod (x - a_i)^{lambda_i} with distinct a_i, p not dividing m.
+
+    All branch indices are m/gcd(m, lambda); the place at infinity carries the
+    exponent -sum(lambda).  Tame throughout, so d = e - 1 everywhere.
+    """
+    if m <= 1:
+        raise ValueError("cover degree must be at least 2")
+    if p > 1 and m % p == 0:
+        raise ValueError(f"cover degree {m} divisible by the characteristic {p}")
+    exponents = [lam for lam in exponents if lam % m != 0]
+    total = -2 * m
+    branch = list(exponents) + [-sum(exponents)]
+    for lam in branch:
+        e = m // gcd(m, lam % m) if lam % m else 1
+        total += m - m // e
+    if total % 2 != 0:
+        raise ValueError("non-integral genus: inconsistent branch data")
+    g = total // 2 + 1
+    if g < 0:
+        raise ValueError("negative genus: inconsistent branch data")
+    return g
 
 
 def differential_basis(model: CurveModel):
@@ -119,13 +143,16 @@ def differential_basis(model: CurveModel):
     return tuple(sorted(basis, key=lambda ab: (ab[1], ab[0])))
 
 
-@dataclass(frozen=True)
-class CartierMatrix:
-    """Matrix of the Cartier operator on the ordered monomial basis."""
+class CartierMatrix(Record):
+    """Matrix of the Cartier operator on the ordered monomial basis: ``entries``
+    are its rows over GF(p), ``basis`` the (a, b) pairs of the differentials."""
 
-    p: int
-    entries: tuple  # rows, over GF(p)
-    basis: tuple  # of (a, b) pairs
+    __slots__ = ("p", "entries", "basis")
+
+    def __init__(self, p: int, entries: tuple, basis: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def size(self) -> int:

@@ -1,35 +1,34 @@
 """Genus and p-rank bookkeeping for Galois covers, in exact rationals.
 
-Covers the Hurwitz genus formula, the Deuring-Shafarevich formula, tame
-Kummer-cover genera, and the two-branch-point enumeration that classifies
-even-genus actions of the two sporadic candidate groups.  No floating point
-enters any computation here.
+Covers the Hurwitz genus formula, the Deuring-Shafarevich formula, and the
+two-branch-point enumeration that classifies even-genus actions of the two
+sporadic candidate groups.  No floating point enters any computation here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .fppoly import factor_prime_power
+from . import Record
+from .arith import factor_prime_power
 
 HURWITZ_COEFF = 84
 
 
-@dataclass(frozen=True)
-class WildStabilizer:
+class WildStabilizer(Record):
     """Wild one-point stabilizer shape: p-part of order q1, cyclic part E1."""
 
-    q1: int
-    E1: int
+    __slots__ = ("q1", "E1")
 
-    def __post_init__(self):
-        p, _ = factor_prime_power(self.q1)
-        if gcd(self.E1, p) != 1:
-            raise ValueError(f"complement order {self.E1} not coprime to {p}")
-        if not 1 <= self.E1 <= self.q1 - 1:
-            raise ValueError(f"complement order {self.E1} exceeds {self.q1 - 1}")
+    def __init__(self, q1: int, E1: int):
+        p, _ = factor_prime_power(q1)
+        if gcd(E1, p) != 1:
+            raise ValueError(f"complement order {E1} not coprime to {p}")
+        if not 1 <= E1 <= q1 - 1:
+            raise ValueError(f"complement order {E1} exceeds {q1 - 1}")
+        object.__setattr__(self, "q1", q1)
+        object.__setattr__(self, "E1", E1)
 
 
 def wild_different(w: WildStabilizer):
@@ -41,21 +40,21 @@ def wild_different(w: WildStabilizer):
     return e, e + w.q1 - 2
 
 
-@dataclass(frozen=True)
-class RamSignature:
+class RamSignature(Record):
     """Quotient genus with a multiset of (e, d, count) branch-point data."""
 
-    quotient_genus: int
-    points: tuple  # of (ramification index, different exponent, count)
+    __slots__ = ("quotient_genus", "points")  # points: (ramification index, different exponent, count)
 
-    def __post_init__(self):
-        if self.quotient_genus < 0:
+    def __init__(self, quotient_genus: int, points: tuple):
+        if quotient_genus < 0:
             raise ValueError("negative quotient genus")
-        for e, d, count in self.points:
+        for e, d, count in points:
             if e < 2 or count < 1:
                 raise ValueError(f"invalid branch entry ({e},{d},{count})")
             if d < e - 1:
                 raise ValueError(f"different exponent {d} below tame minimum {e - 1}")
+        object.__setattr__(self, "quotient_genus", quotient_genus)
+        object.__setattr__(self, "points", points)
 
 
 def hurwitz_genus(order_g: int, sig: RamSignature) -> Fraction:
@@ -83,32 +82,7 @@ def deuring_shafarevich(order_s: int, quotient_p_rank: int, short_orbit_sizes) -
     return gamma
 
 
-def kummer_genus(m: int, exponents, p: int) -> int:
-    """Genus of y^m = prod (x - a_i)^{lambda_i} with distinct a_i, p not dividing m.
-
-    All branch indices are m/gcd(m, lambda); the place at infinity carries the
-    exponent -sum(lambda).  Tame throughout, so d = e - 1 everywhere.
-    """
-    if m <= 1:
-        raise ValueError("cover degree must be at least 2")
-    if p > 1 and m % p == 0:
-        raise ValueError(f"cover degree {m} divisible by the characteristic {p}")
-    exponents = [lam for lam in exponents if lam % m != 0]
-    total = -2 * m
-    branch = list(exponents) + [-sum(exponents)]
-    for lam in branch:
-        e = m // gcd(m, lam % m) if lam % m else 1
-        total += m - m // e
-    if total % 2 != 0:
-        raise ValueError("non-integral genus: inconsistent branch data")
-    g = total // 2 + 1
-    if g < 0:
-        raise ValueError("negative genus: inconsistent branch data")
-    return g
-
-
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(Record):
     """One admissible two-point signature with its filter flags.
 
     ``passes_parity`` records g even; ``passes_hurwitz_filter`` records
@@ -119,17 +93,22 @@ class Candidate:
     bound); both are reported, never silently dropped.
     """
 
-    e1: int
-    d1: int
-    e2: int
-    d2: int
-    q1: int
-    E1: int
-    g: int
-    passes_parity: bool
-    passes_hurwitz_filter: bool
-    p_group_stabilizer: bool
-    small_wild_part: bool
+    __slots__ = ("e1", "d1", "e2", "d2", "q1", "E1", "g", "passes_parity", "passes_hurwitz_filter",
+                 "p_group_stabilizer", "small_wild_part")
+
+    def __init__(self, e1: int, d1: int, e2: int, d2: int, q1: int, E1: int, g: int, passes_parity: bool,
+                 passes_hurwitz_filter: bool, p_group_stabilizer: bool, small_wild_part: bool):
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "e2", e2)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "q1", q1)
+        object.__setattr__(self, "E1", E1)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "passes_parity", passes_parity)
+        object.__setattr__(self, "passes_hurwitz_filter", passes_hurwitz_filter)
+        object.__setattr__(self, "p_group_stabilizer", p_group_stabilizer)
+        object.__setattr__(self, "small_wild_part", small_wild_part)
 
 
 def enumerate_case_iii(facts):

@@ -14,7 +14,7 @@ from oracles import chain_passes, p_rank, scale_x, shift_x, solve_branch_data, z
 from curvebound import bounds, permgroup
 from curvebound.classical import sporadic_facts
 from curvebound.fppoly import FpPoly, squarefree_decomposition
-from curvebound.prank import CurveModel, genus_of_model, parse_curve
+from curvebound.prank import CurveModel, genus_of_model, kummer_genus, parse_curve
 from curvebound.ramification import (
     RamSignature,
     WildStabilizer,
@@ -22,7 +22,6 @@ from curvebound.ramification import (
     deuring_shafarevich,
     enumerate_case_iii,
     hurwitz_genus,
-    kummer_genus,
     wild_different,
 )
 

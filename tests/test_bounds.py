@@ -1,5 +1,5 @@
+import re
 import time
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -192,6 +192,24 @@ def test_threshold_and_neighbours_hold():
             assert report.verdict == "holds"
 
 
+def test_sharpness_notes_name_the_exact_threshold():
+    """A dominates note's "sharp near N", "sharp at N" or "razor-thin at g = N" names t or t - 1,
+    where t is the least g >= 2 from which the strict comparison holds on every integer below 2000."""
+    pinned = {}
+    for cid in bounds.chain_ids():
+        for step in bounds.chain_steps(cid):
+            match = re.search(r"(?:sharp (?:near|at)|razor-thin at g =) (\d+)", step.note)
+            if step.kind != "dominates" or not match:
+                continue
+            b1, b2, _, _ = step.params
+            t = 2000
+            while t > 2 and compare_at(b1, b2, t - 1) < 0:
+                t -= 1
+            assert int(match.group(1)) in (t, t - 1), (step.step_id, step.note, t)
+            pinned[step.step_id] = int(match.group(1))
+    assert sorted(pinned.values()) == [2, 10, 10, 22, 39, 262]
+
+
 def test_exp_upper_is_an_upper_bound():
     for x in (F(8, 5), F(109, 100), F(1, 2), F(0)):
         with mpmath.workdps(60):
@@ -328,7 +346,8 @@ def power_bounds(draw, max_coeff=10**6, max_den=10**4, max_mult=90):
 def test_integer_kernels_match_fraction_oracle(b1, b2, g):
     assert compare_at(b1, b2, g) == frac_compare_at(b1, b2, g)
     # equal exponents reach the coefficient test, equal coefficients the shift test
-    for other in (b2, replace(b2, num=b1.num, den=b1.den), replace(b1, shift=b2.shift)):
+    for other in (b2, PowerBound(b2.coeff, b2.shift, b1.num, b1.den, b2.mult),
+                  PowerBound(b1.coeff, b2.shift, b1.num, b1.den, b1.mult)):
         assert bounds._sign_at_infinity(b1, other) == frac_sign_at_infinity(b1, other)
 
 

@@ -5,7 +5,8 @@ helpers stay private to their module), and may not import a name it never
 uses.  Every public name the package defines has a reader inside the
 package, apart from an allow-list with a reason for each entry; test-only
 helpers live in ``tests/oracles.py``.  A CLI process loads only the layers
-its subcommand runs, checked in a fresh interpreter.
+and standard modules its subcommand computes with, checked in a fresh
+interpreter.
 """
 
 import ast
@@ -69,23 +70,24 @@ def _loads(node):
                    if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
 
 
-def _is_dataclass(node):
-    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
-    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators)
+def _slot_fields(node):
+    """(field name, the ``__slots__`` assignment) for each name a class body lists in ``__slots__``."""
+    for item in node.body:
+        if isinstance(item, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in item.targets):
+            return [(elt.value, item) for elt in getattr(item.value, "elts", ()) if isinstance(elt, ast.Constant)]
+    return []
 
 
 def _public_definitions(tree):
     """(qualified name, node) for each public function, class and constant of a module,
-    and each public method, property or dataclass field of its classes."""
+    and each public method, property or slot field of its classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
             if isinstance(node, ast.ClassDef):
                 yield from ((f"{node.name}.{item.name}", item) for item in node.body
                             if isinstance(item, ast.FunctionDef))
-                if _is_dataclass(node):
-                    yield from ((f"{node.name}.{item.target.id}", item) for item in node.body
-                                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+                yield from ((f"{node.name}.{name}", item) for name, item in _slot_fields(node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
@@ -96,11 +98,12 @@ def unused_public_names(sources):
     outside the definition itself; ``sources`` maps module names to their text.
 
     A module-level name is read where it is loaded as a name or an attribute,
-    a method, property or dataclass field only where it is loaded as an
-    attribute.  Matching is by name alone, so a dead definition whose name
-    is loaded elsewhere for another reason (a live method, a local variable,
-    another object's attribute) goes unnoticed: a field ``name`` that
-    nothing reads hides behind every ``args.name``.
+    a method, property or slot field (a name in a class's ``__slots__``)
+    only where it is loaded as an attribute.  Matching is by name alone, so
+    a dead definition whose name is loaded elsewhere for another reason (a
+    live method, a local variable, another object's attribute) goes
+    unnoticed: a slot field ``name`` that nothing reads would hide behind
+    every ``args.name`` in ``cli``.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
     loads = sum((_loads(tree) for tree in trees.values()), Counter())
@@ -126,7 +129,7 @@ def test_unused_public_names_detects_each_kind():
              "    @property\n    def name(self):\n        return 'x'\n"
              "    def __repr__(self):\n        return ''\n"
              "class Spare:\n    pass\n"
-             "@dataclass(frozen=True)\nclass Point:\n    x: int\n    tag: str = ''\n    _cache: int = 0\n"
+             "class Point(Record):\n    __slots__ = ('x', 'tag', '_cache')\n"
              "class Plain:\n    label: str\n",
         "b": "from .a import Plain, Point, Shape, used\nused()\nShape().area()\nname = 'local'\nname.upper()\n"
              "Point(1).x\nPlain()\n",
@@ -152,32 +155,68 @@ def test_allow_list_names_exist_and_still_have_no_reader():
 
 
 def modules_loaded_by(code: str):
-    """The curvebound modules a fresh interpreter holds after running ``code``, stdout silenced."""
+    """Every module a fresh interpreter holds after running ``code``, stdout silenced."""
     script = ("import contextlib, io, sys\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               + "".join(f"    {line}\n" for line in code.splitlines())
-              + "print(' '.join(m for m in sys.modules if m.startswith('curvebound')))\n")
+              + "print(' '.join(sys.modules))\n")
     path = os.pathsep.join([str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
-    return {name.removeprefix("curvebound.") for name in done.stdout.split()}
+    return set(done.stdout.split())
+
+
+def layers(loaded):
+    """The curvebound modules among ``loaded``, named without the package prefix."""
+    return {name.removeprefix("curvebound.") for name in loaded if name.split(".")[0] == "curvebound"}
+
+
+def run_cli(argv):
+    """The modules loaded by a fresh ``cli.main(argv)``."""
+    return modules_loaded_by(f"from curvebound import cli\ncli.main({argv!r})")
 
 
 def test_cli_import_loads_no_layer():
-    assert modules_loaded_by("import curvebound.cli") == {"curvebound", "cli"}
+    assert layers(modules_loaded_by("import curvebound.cli")) == {"curvebound", "cli"}
 
 
 def test_prank_loads_no_group_layer():
-    loaded = modules_loaded_by("from curvebound import cli\n"
-                               "cli.main(['prank', '--p', '3', '--curve', 'y^2=x^5-x'])")
+    loaded = layers(run_cli(["prank", "--p", "3", "--curve", "y^2=x^5-x"]))
     assert loaded.isdisjoint({"perm", "permgroup", "classical", "bounds"})
 
 
 def test_group_audit_loads_neither_bounds_nor_prank():
-    loaded = modules_loaded_by("from curvebound import cli\ncli.main(['group-audit', 'alt7'])")
+    loaded = layers(run_cli(["group-audit", "alt7"]))
     assert "permgroup" in loaded and loaded.isdisjoint({"bounds", "prank"})
 
 
 def test_bounds_loads_no_group_layer():
-    loaded = modules_loaded_by("from curvebound import cli\ncli.main(['bounds', 'all'])")
+    loaded = layers(run_cli(["bounds", "all"]))
     assert "bounds" in loaded and loaded.isdisjoint({"perm", "permgroup"})
+
+
+# No command loads NEVER_LOADED, and each command below loads none of its
+# UNNEEDED modules, since it computes nothing with them; every module a cold
+# process loads costs it milliseconds to compile.
+NEVER_LOADED = {"dataclasses", "inspect", "csv"}
+UNNEEDED = [
+    ("group-audit", ["group-audit", "alt7"], {"fractions", "curvebound.fppoly"}),
+    ("enumerate", ["enumerate", "--group", "m11", "--char", "3"], {"curvebound.fppoly"}),
+    ("bounds-all", ["bounds", "all"], {"curvebound.fppoly"}),
+    ("bounds-classify", ["bounds", "main", "--order", "7920", "--genus", "26"], {"curvebound.fppoly"}),
+    ("prank", ["prank", "--p", "3", "--curve", "y^2=x^5-x"], {"curvebound.ramification"}),
+    ("prank-oracle", ["prank", "--p", "3", "--curve", "y^2=x^5-x", "--oracle"],
+     {"fractions", "curvebound.ramification"}),
+]
+
+
+@pytest.mark.parametrize("argv, unneeded", [pytest.param(a, u, id=i) for i, a, u in UNNEEDED])
+def test_each_command_loads_only_what_it_computes_with(argv, unneeded):
+    loaded = run_cli(argv + ["--format", "json"])
+    assert sorted(loaded & (NEVER_LOADED | unneeded)) == []
+
+
+def test_only_the_csv_format_loads_csv():
+    argv = ["bounds", "main", "--order", "7920", "--genus", "26", "--format"]
+    assert "csv" not in run_cli(argv + ["text"])
+    assert "csv" in run_cli(argv + ["csv"])

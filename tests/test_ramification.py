@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import UnboundedInstanceError, solve_branch_data
 
 from curvebound.classical import sporadic_facts
+from curvebound.prank import kummer_genus
 from curvebound.ramification import (
     RamSignature,
     WildStabilizer,
@@ -13,7 +14,6 @@ from curvebound.ramification import (
     deuring_shafarevich,
     enumerate_case_iii,
     hurwitz_genus,
-    kummer_genus,
     wild_different,
 )
 
