@@ -5,14 +5,17 @@ nonzero leading coefficient (the zero polynomial is the empty tuple).
 Factoring is reduced to what the curve code reads, the squarefree
 decomposition.  A field GF(p^k) is given by its log and Zech tables over a
 deterministic primitive modulus, so the arithmetic behind point counts is
-table lookups and integer additions.
+table lookups and integer additions.  The tables are built on plain integers:
+candidate moduli with a root in GF(p) are skipped, the order of x is tested
+by square and multiply on coefficient lists, and each step of the log walk
+is two lookups in tables of O(p sqrt(p^k)) entries.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 from .arith import factorize, is_prime
 
@@ -33,10 +36,6 @@ class FpPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("FpPoly is immutable")
-
-    @classmethod
-    def x(cls, p):
-        return cls(p, (0, 1))
 
     @classmethod
     def constant(cls, p, c):
@@ -87,17 +86,16 @@ class FpPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int, modulus=None):
-        """self^k by square and multiply; ``pow(f, k, m)`` reduces mod m at each step."""
+    def __pow__(self, k: int):
+        """self^k by square and multiply."""
         if k < 0:
             raise ValueError("negative power")
-        reduce = (lambda f: f) if modulus is None else (lambda f: f % modulus)
-        result = reduce(FpPoly.constant(self.p, 1))
-        square = reduce(self)
+        result = FpPoly.constant(self.p, 1)
+        square = self
         while k:
             if k & 1:
-                result = reduce(result * square)
-            square = reduce(square * square)
+                result = result * square
+            square = square * square
             k >>= 1
         return result
 
@@ -191,31 +189,75 @@ def field_tables(p: int, k: int):
     An element is the integer whose base-p digits are its coefficients, so GF(p)
     is 0..p-1.  The modulus is the first monic degree-k polynomial, constant term
     varying fastest, modulo which x has order n = p^k - 1; no reducible one
-    passes, as its unit group is smaller.  log[a] is the log of a to base x,
-    log[0] = -1, and zech[i] = log(1 + x^i), -1 where 1 + x^i = 0.
+    passes, as its unit group is smaller.  For k > 1 a candidate with a root
+    in GF(p), 0 included, is reducible and skipped; the others are tested for
+    x^n = 1 and x^(n/r) != 1, r each prime dividing n, on coefficient lists.
+    log[a] is the log of a to base x, log[0] = -1, and zech[i] = log(1 + x^i),
+    -1 where 1 + x^i = 0.
+
+    The log walk multiplies by x, which takes the code t p^(k-1) + rest to
+    rest x + t x^k.  rest is split into a low and a high half of its digits,
+    and for each top digit t two tables give each half shifted up with its
+    share of t x^k added: a step is two lookups and an addition, and the
+    tables hold O(p sqrt(p^k)) entries.
     """
     if k < 1:
         raise ValueError("extension degree must be positive")
     n = p**k - 1
-    x = FpPoly.x(p)
+    one = [1] + [0] * (k - 1)
     cofactors = [n // r for r, _ in factorize(n)]
     for tail in product(range(p), repeat=k):
-        modulus = FpPoly(p, tail[::-1] + (1,))
-        if pow(x, n, modulus).coeffs == (1,) and all(
-            pow(x, e, modulus).coeffs != (1,) for e in cofactors
+        coeffs = tail[::-1] + (1,)
+        if k > 1 and any(sum(c * a**j for j, c in enumerate(coeffs)) % p == 0 for a in range(p)):
+            continue
+        reduction = [(-c) % p for c in coeffs[:k]]
+        if _x_power(n, reduction, p, k) == one and all(
+            _x_power(e, reduction, p, k) != one for e in cofactors
         ):
             break
-    reduction = [(-c) % p for c in modulus.coeffs[:k]]
-    weights = [p**j for j in range(k)]
+    top, half = p ** (k - 1), p ** ((k - 1) // 2)
+    low = [_times_x_table(t, reduction, p, range(1, (k + 1) // 2), t * reduction[0] % p)
+           for t in range(p)]
+    high = [_times_x_table(t, reduction, p, range((k + 1) // 2, k), 0) for t in range(p)]
     log = array("i", [-1]) * (n + 1)
-    digits = [1] + [0] * (k - 1)
+    a = 1
     for i in range(n):
-        log[sum(c * w for c, w in zip(digits, weights))] = i
-        top = digits[-1]
-        digits = [(c + top * r) % p for c, r in zip([0] + digits[:-1], reduction)]
+        log[a] = i
+        t, rest = divmod(a, top)
+        hi, lo = divmod(rest, half)
+        a = low[t][lo] + high[t][hi]
+    # 1 + a is the code a + 1 unless a's constant digit is p - 1, which wraps to 0
     zech = array("i", [-1]) * n
-    for a in range(1, n + 1):
-        b = a + 1 if a % p != p - 1 else a + 1 - p
-        if b:
-            zech[log[a]] = log[b]
+    for i, j in zip(islice(log, 1, None), islice(log, 2, None)):
+        zech[i] = j
+    for a in range(p - 1, n + 1, p):
+        zech[log[a]] = log[a + 1 - p]
     return log, zech
+
+
+def _x_power(e: int, reduction, p: int, k: int):
+    """x^e modulo x^k - sum(reduction[j] x^j), as k coefficients, constant term first."""
+    result = [1] + [0] * (k - 1)
+    for bit in bin(e)[2:]:
+        square = [0] * (2 * k)
+        for i, a in enumerate(result, bit == "1"):  # squared, then times x on a 1 bit
+            if a:
+                for j, b in enumerate(result, i):
+                    square[j] += a * b
+        for d in range(2 * k - 1, k - 1, -1):
+            c = square[d] % p
+            if c:
+                for j, r in enumerate(reduction, d - k):
+                    square[j] += c * r
+        result = [c % p for c in square[:k]]
+    return result
+
+
+def _times_x_table(t: int, reduction, p: int, positions, start: int):
+    """The code of v x + t x^k on the digit ``positions`` that v's digits move to,
+    indexed by v, plus ``start``: the constant digit, which only t x^k sets."""
+    entries = [start]
+    for j in positions:
+        r, weight = t * reduction[j] % p, p**j
+        entries = [e + (d + r) % p * weight for d in range(p) for e in entries]
+    return entries

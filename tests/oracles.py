@@ -2,15 +2,23 @@
 
 None of these is on a reproduction path, so they live here rather than in
 the package: second routes to values the package computes (a left-fold
-power, a p-rank read off point counts, the Cartier matrix by two rules),
-properties read off a stabilizer chain, and the exhaustive branch-data
-solver.
+power, field tables by polynomial arithmetic, point counts over every x, a
+p-rank read off point counts, the Cartier matrix by two rules), properties
+read off a stabilizer chain, and the exhaustive branch-data solver.
 """
 
+from array import array
+from itertools import product
+from math import comb, gcd
+
 from curvebound import bounds
-from curvebound.fppoly import FpPoly
+from curvebound.arith import factorize
+from curvebound.fppoly import FpPoly, field_tables
 from curvebound.prank import (
+    ZETA_POINT_CAP,
     CartierMatrix,
+    UnsupportedModelError,
+    _evaluate_log,
     cartier_matrix,
     differential_basis,
     genus_of_model,
@@ -27,6 +35,18 @@ def pow_foldl(f: FpPoly, k: int) -> FpPoly:
     result = FpPoly.constant(f.p, 1)
     for _ in range(k):
         result = result * f
+    return result
+
+
+def pow_mod(f: FpPoly, k: int, modulus: FpPoly) -> FpPoly:
+    """f^k mod ``modulus`` by square and multiply, reducing at each step."""
+    result = FpPoly.constant(f.p, 1) % modulus
+    square = f % modulus
+    while k:
+        if k & 1:
+            result = result * square % modulus
+        square = square * square % modulus
+        k >>= 1
     return result
 
 
@@ -53,6 +73,63 @@ def scale_x(f: FpPoly, u: int) -> FpPoly:
     if u % f.p == 0:
         raise ValueError("scale factor must be a unit")
     return FpPoly(f.p, [c * pow(u, i, f.p) for i, c in enumerate(f.coeffs)])
+
+
+# -- finite fields and point counts -------------------------------------------
+
+
+def field_tables_reference(p: int, k: int):
+    """``field_tables(p, k)`` by polynomial arithmetic: the order of x is tested
+    with ``pow_mod`` on every monic degree-k candidate in turn, and the log walk
+    multiplies a coefficient list by x one step at a time."""
+    n = p**k - 1
+    x = FpPoly(p, (0, 1))
+    cofactors = [n // r for r, _ in factorize(n)]
+    for tail in product(range(p), repeat=k):
+        modulus = FpPoly(p, tail[::-1] + (1,))
+        if pow_mod(x, n, modulus).coeffs == (1,) and all(
+            pow_mod(x, e, modulus).coeffs != (1,) for e in cofactors
+        ):
+            break
+    reduction = [(-c) % p for c in modulus.coeffs[:k]]
+    weights = [p**j for j in range(k)]
+    log = array("i", [-1]) * (n + 1)
+    digits = [1] + [0] * (k - 1)
+    for i in range(n):
+        log[sum(c * w for c, w in zip(digits, weights))] = i
+        top = digits[-1]
+        digits = [(c + top * r) % p for c, r in zip([0] + digits[:-1], reduction)]
+    zech = array("i", [-1]) * n
+    for a in range(1, n + 1):
+        b = a + 1 if a % p != p - 1 else a + 1 - p
+        if b:
+            zech[log[a]] = log[b]
+    return log, zech
+
+
+def count_points_every_x(model, r: int) -> int:
+    """``count_points(model, r)`` with the local rule evaluated at every x of
+    GF(p^r), not once per Frobenius orbit."""
+    m, p, f = model.m, model.p, model.f
+    q = p**r
+    if q > ZETA_POINT_CAP:
+        raise UnsupportedModelError(f"field size {q} exceeds the point-count cap")
+    log, zech = field_tables(p, r)
+    n = q - 1
+    derivatives = [[log[comb(j, k) * c % p] for j, c in enumerate(f.coeffs) if j >= k]
+                   for k in range(f.degree + 1)]
+    total = 0
+    for x0 in range(-1, n):
+        for lam, coeffs in enumerate(derivatives):
+            u = _evaluate_log(coeffs, x0, zech, n)
+            if u >= 0:
+                break
+        d = gcd(gcd(m, lam), n)
+        if u % d == 0:
+            total += d
+    dd = gcd(gcd(m, f.degree), n)
+    total += dd if log[f.leading()] % dd == 0 else 0
+    return total
 
 
 # -- p-ranks -------------------------------------------------------------------

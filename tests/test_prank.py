@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -6,9 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     cartier_matrix_two_formulas,
+    count_points_every_x,
     evaluate,
+    field_tables_reference,
     p_rank,
     pow_foldl,
+    pow_mod,
     scale_x,
     shift_x,
     zeta_prank_oracle,
@@ -60,7 +64,7 @@ def test_fppoly_power_routes_agree():
 def test_modular_power_is_the_reduced_power(p, f, m, e):
     f, m = FpPoly(p, f), FpPoly(p, m)
     assume(not m.is_zero())
-    assert pow(f, e, m) == (f**e) % m
+    assert pow_mod(f, e, m) == (f**e) % m
 
 
 def test_squarefree_decomposition():
@@ -126,6 +130,32 @@ def test_field_tables_describe_the_field(p, k):
         for b in range(1, p):
             assert antilog[(log[a] + log[b]) % (q - 1)] == a * b % p
     assert field_tables(p, k) is field_tables(p, k)
+
+
+SMALL_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                for k in range(1, 15) if p**k <= 2 * 10**4]
+
+
+def test_field_tables_match_the_polynomial_reference():
+    """Both arrays, hence the primitive modulus: x^k has the log k, and its code
+    holds the modulus's reduction whenever p^k - 1 > k, that is, for every field
+    here but GF(2)."""
+    assert len(SMALL_FIELDS) == 54
+    for p, k in SMALL_FIELDS:
+        assert field_tables(p, k) == field_tables_reference(p, k), (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(3, 10), (7, 5)])
+def test_field_tables_peak_memory_is_the_two_arrays(p, k):
+    """A successor table of p^k ints would take over 4 times the 8 bytes per element
+    of the two returned arrays."""
+    tracemalloc.start()
+    try:
+        field_tables.__wrapped__(p, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * p**k
 
 
 # -- models and genus -----------------------------------------------------------
@@ -203,9 +233,9 @@ def test_cartier_matrix_computes_one_power_per_stratum(monkeypatch):
     calls = []
     power = FpPoly.__pow__
 
-    def counted(f, k, modulus=None):
+    def counted(f, k):
         calls.append(k)
-        return power(f, k, modulus)
+        return power(f, k)
 
     monkeypatch.setattr(FpPoly, "__pow__", counted)
     matrix = cartier_matrix(y7)
@@ -333,6 +363,33 @@ def test_point_counts_against_brute_force(p, m):
         affine = sum(mth_powers.count(evaluate(f, x)) for x in range(p))
         assert count_points(CurveModel(m, f, p), 1) == 1 + affine, f
         samples += 1
+
+
+def test_orbit_count_is_the_every_x_count():
+    """Random y^m = f whose first factor, of degree 2 or 3, is repeated, so that
+    some roots of multiplicity lam with gcd(m, lam) > 1 lie outside GF(p)."""
+    rng = random.Random(16)
+    wild = samples = 0
+    while samples < 64:
+        p = rng.choice((3, 5, 7))
+        m = rng.choice([m for m in (2, 3, 4, 6) if m % p])
+        f = FpPoly(p, (rng.randrange(1, p),))
+        for degree, mults in (((2, 3), (2, 3, 4)), ((1, 2, 3), (1, 1, 2, 3)), ((1, 2), (1, 2))):
+            factor = FpPoly(p, [rng.randrange(p) for _ in range(rng.choice(degree))] + [1])
+            f = f * factor ** rng.choice(mults)
+        if f.degree > 12:
+            continue
+        try:
+            curve = CurveModel(m, f, p)
+        except UnsupportedModelError:
+            continue
+        # a squarefree part with fewer roots in GF(p) than its degree has the rest outside
+        wild += any(gcd(m, mult) > 1 and poly.degree > [evaluate(poly, a) for a in range(p)].count(0)
+                    for poly, mult in squarefree_decomposition(f))
+        for r in range(1, 5):  # fields of up to 7^4 = 2401 elements
+            assert count_points(curve, r) == count_points_every_x(curve, r), (m, f, r)
+        samples += 1
+    assert wild >= 12
 
 
 def test_point_count_cap_refused_before_tables():
