@@ -60,35 +60,54 @@ def _pair(r):
     return r.numerator, r.denominator
 
 
-def _raised(b: PowerBound, g: int, power: int):
-    """bound(g)**power exactly, as a pair; power must be a multiple of b.den."""
-    if power % b.den != 0:
-        raise ValueError("power does not clear the root")
-    base = g + b.shift
-    if base < 0:
-        raise ValueError(f"g + shift negative at g={g}")
-    k = power // b.den
-    return b.coeff.numerator**power * b.mult**k * base ** (b.num * k), b.coeff.denominator**power
-
-
 def holds_at(b: PowerBound, value: int, g: int) -> bool:
     """Exact test value < bound(g), decided by clearing the root."""
     if g + b.shift < 0 or value < 0:
         raise ValueError("operands must be non-negative")
-    return _sign((value**b.den, 1), _raised(b, g, b.den)) < 0
+    raised = b.coeff.numerator**b.den, b.coeff.denominator**b.den
+    return _below_root(value, b.den, raised, b.mult * (g + b.shift) ** b.num)
 
 
-def _cleared(b1: PowerBound, b2: PowerBound):
+def _below_root(value: int, den: int, raised, rest: int) -> bool:
+    """Exact test value < (c * rest)^(1/den), where ``raised`` is c as a
+    (numerator, denominator) pair; the root is cleared by raising value to den."""
+    return value**den * raised[1] < raised[0] * rest
+
+
+def _exponents(b1: PowerBound, b2: PowerBound):
     """(power, alpha, beta): raising both sides to power = lcm(den1, den2)
     clears the roots, leaving the exponents alpha of g + s1 and beta of g + s2."""
     power = lcm(b1.den, b2.den)
     return power, b1.num * power // b1.den, b2.num * power // b2.den
 
 
-def compare_at(b1: PowerBound, b2: PowerBound, g: int) -> int:
-    """Sign of b1(g) - b2(g), decided exactly."""
-    power = _cleared(b1, b2)[0]
-    return _sign(_raised(b1, g, power), _raised(b2, g, power))
+def _comparator(b1: PowerBound, b2: PowerBound):
+    """(sign, tail): sign(g) is the sign of b1(g) - b2(g), decided exactly, and
+    tail its sign for all large g.
+
+    Raised to the power that clears both roots, and with the denominators
+    cross-multiplied, the comparison is lead1*(g+s1)^alpha vs lead2*(g+s2)^beta;
+    the constants are multiplied out once for the pair.  The tail is decided
+    by the exponents, then by the constants, then by the shifts.
+    """
+    power, alpha, beta = _exponents(b1, b2)
+    lead1 = b1.coeff.numerator**power * b1.mult ** (power // b1.den) * b2.coeff.denominator**power
+    lead2 = b2.coeff.numerator**power * b2.mult ** (power // b2.den) * b1.coeff.denominator**power
+    s1, s2 = b1.shift, b2.shift
+
+    def sign(g: int) -> int:
+        if g + s1 < 0 or g + s2 < 0:
+            raise ValueError(f"g + shift negative at g={g}")
+        lhs, rhs = lead1 * (g + s1) ** alpha, lead2 * (g + s2) ** beta
+        return (lhs > rhs) - (lhs < rhs)
+
+    if alpha != beta:
+        tail = 1 if alpha > beta else -1
+    elif lead1 != lead2 or alpha == 0:
+        tail = (lead1 > lead2) - (lead1 < lead2)
+    else:
+        tail = (s1 > s2) - (s1 < s2)
+    return sign, tail
 
 
 def _split_point(b1: PowerBound, b2: PowerBound):
@@ -99,7 +118,7 @@ def _split_point(b1: PowerBound, b2: PowerBound):
     g = (alpha*s2 - beta*s1)/(beta - alpha), so the sign of the difference
     changes at most once on each side of it.
     """
-    _, alpha, beta = _cleared(b1, b2)
+    _, alpha, beta = _exponents(b1, b2)
     if alpha == beta:
         return None
     return (alpha * b2.shift - beta * b1.shift) // (beta - alpha)
@@ -133,13 +152,13 @@ def dominates(b1: PowerBound, b2: PowerBound, g_min: int, g_max=None) -> AuditRe
         checkpoints.add(g_max)
     if lo is not None:
         checkpoints.update(c for c in range(lo - 1, lo + 3) if c >= g_min and (g_max is None or c <= g_max))
-    tail = _sign_at_infinity(b1, b2)
+    sign, tail = _comparator(b1, b2)
     rel = {1: "reverses", -1: "persists", 0: "is exact equality"}[tail]
     note = f"tail: exponents {b1.num}/{b1.den} vs {b2.num}/{b2.den}, dominance {rel} at infinity"
     good = None
     for c in sorted(checkpoints):
-        if compare_at(b1, b2, c) >= 0:
-            witness = c if good is None else _smallest_failure(b1, b2, good, c)
+        if sign(c) >= 0:
+            witness = c if good is None else _smallest_failure(sign, good, c)
             return AuditReport("fails", witness, note=note)
         good = c
     if g_max is None and tail >= 0:
@@ -147,20 +166,8 @@ def dominates(b1: PowerBound, b2: PowerBound, g_min: int, g_max=None) -> AuditRe
     return AuditReport("holds", note=note)
 
 
-def _sign_at_infinity(b1: PowerBound, b2: PowerBound) -> int:
-    """Sign of b1 - b2 for all large g, decided from exponents then coefficients."""
-    power, alpha, beta = _cleared(b1, b2)
-    if alpha != beta:
-        return 1 if alpha > beta else -1
-    # at base g + shift = 1 the cleared sides are their constant factors
-    lead = _sign(_raised(b1, 1 - b1.shift, power), _raised(b2, 1 - b2.shift, power))
-    if lead or alpha == 0:
-        return lead
-    return (b1.shift > b2.shift) - (b1.shift < b2.shift)
-
-
-def _smallest_failure(b1: PowerBound, b2: PowerBound, good: int, bad: int) -> int:
-    """Least g in (good, bad] with b1(g) >= b2(g), by bisection.
+def _smallest_failure(sign, good: int, bad: int) -> int:
+    """Least g in (good, bad] with sign(g) >= 0, by bisection.
 
     b1 < b2 at the checkpoint ``good`` and not at the next one, ``bad``.  The
     checkpoints bracket the extremum of the cleared log-difference, so the
@@ -168,7 +175,7 @@ def _smallest_failure(b1: PowerBound, b2: PowerBound, good: int, bad: int) -> in
     """
     while bad - good > 1:
         mid = (good + bad) // 2
-        if compare_at(b1, b2, mid) >= 0:
+        if sign(mid) >= 0:
             bad = mid
         else:
             good = mid
@@ -370,9 +377,9 @@ def _holds_at_step(step):
 
 def _per_q_step(step):
     orders, gm1_fn, coeff, num, den, tail_coeffs, _tail_start = step.params
-    bound = PowerBound(coeff, num=num, den=den)
+    raised = coeff.numerator**den, coeff.denominator**den
     for q, order in orders.items():
-        if not holds_at(bound, order, gm1_fn(q)):
+        if not _below_root(order, den, raised, gm1_fn(q) ** num):
             return _verdict(step, False, q)
     if tail_coeffs is not None:
         tail = poly_positive_from(tail_coeffs, _tail_start)

@@ -1,7 +1,11 @@
 """Polynomials over prime fields and log tables of their extensions.
 
 Polynomials are coefficient tuples over GF(p), constant term first, with a
-nonzero leading coefficient (the zero polynomial is the empty tuple).
+nonzero leading coefficient (the zero polynomial is the empty tuple).  A
+product packs each factor into one integer, with slots wide enough that no
+coefficient of the integer product carries into the next, so the arithmetic
+is one CPython big-integer product and the coefficients are reduced mod p
+once, when unpacked; a power is square and multiply over such products.
 Factoring is reduced to what the curve code reads, the squarefree
 decomposition.  A field GF(p^k) is given by its log and Zech tables over a
 deterministic primitive modulus, so the arithmetic behind point counts is
@@ -13,6 +17,7 @@ is two lookups in tables of O(p sqrt(p^k)) entries.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import lru_cache
 from itertools import islice, product
@@ -75,28 +80,26 @@ class FpPoly:
         if isinstance(other, int):
             return FpPoly(self.p, [c * other for c in self.coeffs])
         self._check(other)
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return FpPoly(self.p, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return FpPoly(self.p, out)
+        # a coefficient of the integer product is at most max(b) sum(a), and max(a) sum(b)
+        width = _slot_width(min(max(b) * sum(a), max(a) * sum(b)))
+        return _unpacked(self.p, _packed(a, width) * _packed(b, width), width, len(a) + len(b) - 1)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        """self^k by square and multiply."""
+        """self^k by square and multiply, from the leading bit of k down."""
         if k < 0:
             raise ValueError("negative power")
-        result = FpPoly.constant(self.p, 1)
-        square = self
-        while k:
-            if k & 1:
-                result = result * square
-            square = square * square
-            k >>= 1
+        if not k:
+            return FpPoly.constant(self.p, 1)
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def divmod(self, other):
@@ -153,6 +156,38 @@ class FpPoly:
             else:
                 terms.append(f"{c}x^{i}" if c != 1 else f"x^{i}")
         return " + ".join(reversed(terms))
+
+
+# Kronecker substitution: coefficients c_i below 2^(8w) pack into the integer
+# sum c_i 2^(8wi), and a product of polynomials is the product of the integers
+# while no coefficient of the integer product overflows its w-byte slot.  Bytes
+# are in the machine's order, so that array items are slots; on a big-endian
+# machine that packs the reversed polynomial, and reversal commutes with products.
+_ORDER = sys.byteorder
+_TYPECODES = {array(code).itemsize: code for code in "QIHB"}
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot that hold every integer up to ``bound``; up to 8 bytes,
+    rounded up to an array item size, which packs in one call."""
+    width = -(-bound.bit_length() // 8)
+    return width if width > 8 else min(size for size in _TYPECODES if size >= width)
+
+
+def _packed(coeffs, width: int) -> int:
+    if width in _TYPECODES:
+        data = array(_TYPECODES[width], coeffs).tobytes()
+    else:
+        data = b"".join(c.to_bytes(width, _ORDER) for c in coeffs)
+    return int.from_bytes(data, _ORDER)
+
+
+def _unpacked(p: int, n: int, width: int, slots: int) -> FpPoly:
+    """The polynomial packed into ``n``; the constructor reduces its coefficients mod p."""
+    data = n.to_bytes(slots * width, _ORDER)
+    if width in _TYPECODES:
+        return FpPoly(p, array(_TYPECODES[width], data))
+    return FpPoly(p, (int.from_bytes(data[i:i + width], _ORDER) for i in range(0, len(data), width)))
 
 
 @lru_cache(maxsize=4096)

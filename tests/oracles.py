@@ -1,15 +1,17 @@
 """Reference routes and conveniences that only the tests call.
 
 None of these is on a reproduction path, so they live here rather than in
-the package: second routes to values the package computes (a left-fold
-power, field tables by polynomial arithmetic, point counts over every x, a
-p-rank read off point counts, the Cartier matrix by two rules), properties
-read off a stabilizer chain, and the exhaustive branch-data solver.
+the package: second routes to values the package computes (a schoolbook
+product and a left-fold power, field tables by polynomial arithmetic, point
+counts over every x, a p-rank read off point counts and one by squaring the
+Cartier matrix, the Cartier matrix by two rules), properties read off a
+stabilizer chain, and the exhaustive branch-data solver.
 """
 
 from array import array
 from itertools import product
 from math import comb, gcd
+from operator import mul
 
 from curvebound import bounds
 from curvebound.arith import factorize
@@ -31,11 +33,20 @@ from curvebound.prank import (
 
 
 def pow_foldl(f: FpPoly, k: int) -> FpPoly:
-    """Plain left-fold power; a second route to ``f**k``."""
+    """Plain left-fold power by schoolbook products; a second route to ``f**k``."""
     result = FpPoly.constant(f.p, 1)
     for _ in range(k):
-        result = result * f
+        result = poly_mul_reference(result, f)
     return result
+
+
+def poly_mul_reference(f: FpPoly, g: FpPoly) -> FpPoly:
+    """Schoolbook product, reduced once at the end; a second route to ``f * g``."""
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1) if f.coeffs and g.coeffs else []
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return FpPoly(f.p, out)
 
 
 def pow_mod(f: FpPoly, k: int, modulus: FpPoly) -> FpPoly:
@@ -135,6 +146,45 @@ def count_points_every_x(model, r: int) -> int:
 # -- p-ranks -------------------------------------------------------------------
 
 
+def mat_mul(a, b, p):
+    """The product of square matrices a and b over GF(p), as rows."""
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, column)) % p for column in columns) for row in a)
+
+
+def rank_mod_p(mat, p):
+    """Rank over GF(p) by Gauss-Jordan elimination."""
+    rows = [list(r) for r in mat]
+    n = len(rows)
+    rank = 0
+    col = 0
+    while rank < n and col < n:
+        pivot = next((r for r in range(rank, n) if rows[r][col] % p), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(n):
+            if r != rank and rows[r][col] % p:
+                factor = rows[r][col]
+                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def stable_rank_by_squaring(matrix: CartierMatrix) -> int:
+    """``stable_rank`` as the rank of M^k with g <= k < 2g: by Fitting's lemma
+    rank(M^k) is the same for every k >= g, so M is squared
+    (g-1).bit_length() times."""
+    product = matrix.entries
+    for _ in range((matrix.size - 1).bit_length()):
+        product = mat_mul(product, product, matrix.p)
+    return rank_mod_p(product, matrix.p)
+
+
 def p_rank(model) -> int:
     """The Cartier route: the stable rank of the Cartier matrix."""
     return stable_rank(cartier_matrix(model))
@@ -193,6 +243,16 @@ def is_solvable(group) -> bool:
 
 
 # -- bound chains ------------------------------------------------------------------
+
+
+def compare_at(b1, b2, g: int) -> int:
+    """Sign of b1(g) - b2(g), decided exactly."""
+    return bounds._comparator(b1, b2)[0](g)
+
+
+def sign_at_infinity(b1, b2) -> int:
+    """Sign of b1 - b2 for all large g."""
+    return bounds._comparator(b1, b2)[1]
 
 
 def chain_passes(chain_id: str) -> bool:

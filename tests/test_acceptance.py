@@ -9,7 +9,16 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import chain_passes, p_rank, scale_x, shift_x, solve_branch_data, zeta_prank_oracle
+from oracles import (
+    chain_passes,
+    compare_at,
+    p_rank,
+    scale_x,
+    shift_x,
+    sign_at_infinity,
+    solve_branch_data,
+    zeta_prank_oracle,
+)
 
 from curvebound import bounds, permgroup
 from curvebound.classical import sporadic_facts
@@ -132,11 +141,11 @@ def test_criterion_5_bound_audit():
             assert report.verdict == step.expect, step.step_id
             if step.kind == "dominates" and step.expect == "holds":
                 b1, b2, g_min, _ = step.params
-                assert bounds.compare_at(b1, b2, g_min) < 0
-                assert bounds.compare_at(b1, b2, g_min + 1) < 0
+                assert compare_at(b1, b2, g_min) < 0
+                assert compare_at(b1, b2, g_min + 1) < 0
                 if g_min > 2:
-                    bounds.compare_at(b1, b2, g_min - 1)  # evaluable below threshold
-                assert bounds._sign_at_infinity(b1, b2) < 0  # tail dominance persists
+                    compare_at(b1, b2, g_min - 1)  # evaluable below threshold
+                assert sign_at_infinity(b1, b2) < 0  # tail dominance persists
 
     assert bounds.holds_at(bounds.MAIN, 7920, 26)
     assert 7920 > 84 * (26 - 1) == 2100
