@@ -1,12 +1,13 @@
 """Exact-arithmetic auditor for the bound chains on even-genus ordinary curves.
 
 Every verdict is decided over the integers: fractional exponents are cleared
-by raising both positive sides to the exponent denominator, each cleared side
-is a (numerator, positive denominator) pair of ints, and ``_sign`` compares
-two pairs by cross-multiplication.  Fractions appear only at the registry's
-inputs (decimal constants as exact rationals) and as the return value of
-``exp_upper``.  Calculus facts (the logarithm estimates used to bound the
-field-automorphism factor) are analytic lemmas, outside every verdict.
+by raising both positive sides to the exponent denominator, and the cleared
+sides are compared by cross-multiplying their integer numerators and
+denominators.  Fractions appear only at the registry's inputs (decimal
+constants as exact rationals) and as the return value of ``exp_upper``; a
+comparison of two of them is itself an exact cross-multiplication.  Calculus
+facts (the logarithm estimates used to bound the field-automorphism factor)
+are analytic lemmas, outside every verdict.
 
 The registry stores each chain step in the normalization the source argument
 uses.  A handful of printed steps are genuinely false as stated; they are
@@ -47,17 +48,6 @@ class PowerBound(Record):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "mult", mult)
-
-
-def _sign(x, y) -> int:
-    """Sign of x - y for (numerator, positive denominator) pairs of ints."""
-    lhs, rhs = x[0] * y[1], y[0] * x[1]
-    return (lhs > rhs) - (lhs < rhs)
-
-
-def _pair(r):
-    """An exact rational (int or Fraction) as a (numerator, denominator) pair."""
-    return r.numerator, r.denominator
 
 
 def holds_at(b: PowerBound, value: int, g: int) -> bool:
@@ -314,13 +304,12 @@ class Step(Record):
 
 
 def _min_even_genus(order_bound: int) -> int:
-    """Smallest even g >= 2 with 84*g*(g-1) >= order_bound."""
+    """Smallest even g >= 2 with 84*g*(g-1) >= order_bound, walked up to from a start
+    that is never past it: at most isqrt(order_bound // 84) - 1 unless clamped to 2."""
     g = max(2, isqrt(order_bound // 84) - 2)
     g += g % 2
     while 84 * g * (g - 1) < order_bound:
         g += 2
-    while g > 2 and 84 * (g - 2) * (g - 3) >= order_bound:
-        g -= 2
     return g
 
 
@@ -332,10 +321,9 @@ def _verdict(step, ok: bool, witness=None):
 
 
 def _const_step(step):
-    coeff, radicand, root, rhs, strict = step.params
-    lhs = (coeff.numerator**root * radicand.numerator, coeff.denominator**root * radicand.denominator)
-    sign = _sign(lhs, (rhs.numerator**root, rhs.denominator**root))
-    return _verdict(step, sign < 0 if strict else sign <= 0)
+    coeff, radicand, root, rhs = step.params
+    lhs = coeff.numerator**root * radicand.numerator * rhs.denominator**root
+    return _verdict(step, lhs <= rhs.numerator**root * coeff.denominator**root * radicand.denominator)
 
 
 def _arith_step(step):
@@ -366,7 +354,7 @@ def _poly_step(step):
 
 def _exp_step(step):
     base, x = step.params
-    return _verdict(step, _sign(_pair(exp_upper(x)), _pair(base)) < 0)
+    return _verdict(step, exp_upper(x) < base)
 
 
 def _holds_at_step(step):
@@ -376,22 +364,20 @@ def _holds_at_step(step):
 
 
 def _per_q_step(step):
-    orders, gm1_fn, coeff, num, den, tail_coeffs, _tail_start = step.params
+    orders, gm1_fn, coeff, num, den, tail_coeffs, tail_start = step.params
     raised = coeff.numerator**den, coeff.denominator**den
     for q, order in orders.items():
         if not _below_root(order, den, raised, gm1_fn(q) ** num):
             return _verdict(step, False, q)
-    if tail_coeffs is not None:
-        tail = poly_positive_from(tail_coeffs, _tail_start)
-        if tail.verdict != "holds":
-            return AuditReport("fails", witness=tail.witness,
-                               note=step.note + " (tail polynomial)")
+    tail = poly_positive_from(tail_coeffs, tail_start)
+    if tail.verdict != "holds":
+        return AuditReport("fails", witness=tail.witness, note=step.note + " (tail polynomial)")
     return _verdict(step, True)
 
 
 def _point_fail_step(step):
     lhs, rhs, witness = step.params
-    really_fails = _sign(_pair(lhs), _pair(rhs)) >= 0
+    really_fails = lhs >= rhs
     return AuditReport("fails" if really_fails else "holds",
                        witness=witness if really_fails else None, note=step.note)
 
@@ -400,12 +386,7 @@ def _analytic_step(step):
     return AuditReport("holds", note="analytic lemma, outside exact-arithmetic scope: " + step.note)
 
 
-def _poly_zero_step(step):
-    return _verdict(step, all(c == 0 for c in step.params[0]))
-
-
 _KIND_DISPATCH = {
-    "poly_zero": _poly_zero_step,
     "const": _const_step,
     "arith": _arith_step,
     "even_genus_min": _even_genus_step,
@@ -487,14 +468,14 @@ def registry():
              (sixty_gm1, PowerBound(F(31, 4), shift=-1, num=3, den=2, mult=60), 2, None),
              note="60(g-1) < 7.75*sqrt(60)*(g-1)^(3/2)"),
         Step("psl2.c1.c29242", "const", "collapse 37.75*sqrt(60)",
-             (F(151, 4), 60, 2, F(29242, 100), False),
+             (F(151, 4), 60, 2, F(29242, 100)),
              note="37.75^2*60 = 85503.75 <= 292.42^2 = 85509.4564"),
         Step("psl2.c1.s29242", "dominates", "renormalize from g-1 to g",
              (PowerBound(F(151, 4), shift=-1, num=3, den=2, mult=60), PowerBound(F(29242, 100), num=3, den=2), 2, None),
              note="37.75*sqrt(60)*(g-1)^(3/2) < 292.42*g^(3/2) for g >= 2"),
         Step("psl2.c1.arith2359", "arith", "twisted constant 37.75/1.6", (F(151, 4) / F(8, 5), F(755, 32))),
         Step("psl2.c1.c50864", "const", "collapse (37.75/1.6)*60^(3/4)",
-             (F(755, 32), 60**3, 4, F(50864, 100), False),
+             (F(755, 32), 60**3, 4, F(50864, 100)),
              note="(37.75/1.6)^4 * 60^3 <= 508.64^4"),
         Step("psl2.c1.arith_pgl2_125", "arith", "3*|PGL(2,125)|", (3 * family_order(FamilySpec("PGL2", 125)), 5859000)),
         Step("psl2.c1.g266", "even_genus_min", "even genus floor in the twisted subcase", (5859000, 266)),
@@ -503,7 +484,7 @@ def registry():
              note="60(g-1) < 0.48*sqrt(60)*(g-1)^(3/2) for g >= 266 (sharp near 262)"),
         Step("psl2.c1.arith381", "arith", "headline constant 2*30.48/1.6", (2 * F(3048, 100) / F(8, 5), F(381, 10))),
         Step("psl2.c1.c82137", "const", "collapse (2*30.48/1.6)*60^(3/4)",
-             (F(381, 10), 60**3, 4, F(82137, 100), False),
+             (F(381, 10), 60**3, 4, F(82137, 100)),
              note="38.1^4 * 60^3 <= 821.37^4"),
         Step("psl2.c1.s82137", "dominates", "renormalize from g-1 to g",
              (PowerBound(F(82137, 100), shift=-1, num=7, den=4), PowerBound(F(82137, 100), num=7, den=4), 2, None)),
@@ -521,7 +502,7 @@ def registry():
              note="equivalent to (7.6(g+1)-2)^2 > 144(g+1); sharp at g = 2"),
         Step("psl2.c2.arith472", "arith", "constant assembly 2*(16+7.6)", (2 * (16 + c76), F(472, 10))),
         Step("psl2.c2.c8672", "const", "step from g+1 to g via g+1 <= 3g/2",
-             (F(472, 10), F(27, 8), 2, F(8672, 100), False),
+             (F(472, 10), F(27, 8), 2, F(8672, 100)),
              note="47.2^2*(3/2)^3 <= 86.72^2"),
         Step("psl2.c2.gplus1", "poly", "g+1 < 3g/2 for g >= 3; equality at g = 2",
              ((F(-1), F(1, 2)), 3),
@@ -530,7 +511,7 @@ def registry():
              (PowerBound(F(472, 10), shift=1, num=3, den=2), PowerBound(F(8672, 100), num=3, den=2), 2, None),
              note="47.2(g+1)^(3/2) < 86.72 g^(3/2) for g >= 2 (razor-thin at g = 2)"),
         Step("psl2.c2.arith59", "arith", "twisted constant 2*47.2/1.6", (2 * F(472, 10) / F(8, 5), F(59))),
-        Step("psl2.c2.c6676", "const", "twisted constant headroom", (F(59), 1, 1, F(6676, 100), False)),
+        Step("psl2.c2.c6676", "const", "twisted constant headroom", (F(59), 1, 1, F(6676, 100))),
         Step("psl2.c2.s133_printed", "point_fail", "printed step fails at the even genus 2",
              (F(6676, 100) ** 4 * 3**7, F(133) ** 4 * 2**7, 2),
              slip=True,
@@ -558,7 +539,7 @@ def registry():
              (PowerBound(F(30), shift=-1), PowerBound(F(2), shift=-1, num=8, den=5, mult=90), 40, None),
              note="30(g-1) < 2*90^(1/5)*(g-1)^(8/5) for g >= 40 (sharp near 22)"),
         Step("psu.arith242", "arith", "coefficient assembly 8*30+2", (8 * 30 + 2, 242)),
-        Step("psu.c59521", "const", "collapse 242*90^(1/5)", (F(242), 90, 5, F(59521, 100), False),
+        Step("psu.c59521", "const", "collapse 242*90^(1/5)", (F(242), 90, 5, F(59521, 100)),
              note="242^5*90 <= 595.21^5"),
         Step("psu.assembly_printed", "point_fail", "printed assembly drops a 90^(2/5) factor",
              (9360**5 * 3510**3, 242**5 * 90 * 39**8, 40),
@@ -576,7 +557,7 @@ def registry():
         Step("psu.arith_10938", "arith", "twisted constant 3*595.21/1.6",
              (3 * F(59521, 100) / F(8, 5), F(178563, 160))),
         Step("psu.c175024", "const", "collapse (3*595.21/1.6)*90^(1/10)",
-             (F(178563, 160), 90, 10, F(175024, 100), False),
+             (F(178563, 160), 90, 10, F(175024, 100)),
              note="(3*595.21/1.6)^10 * 90 <= 1750.24^10"),
         Step("psu.s766", "dominates", "exponent drop 17/10 to 7/4",
              (PowerBound(F(175024, 100), shift=-1, num=17, den=10), PowerBound(F(766), shift=-1, num=7, den=4),
@@ -592,11 +573,9 @@ def registry():
         Step("psl3.qpoly", "poly", "(q-1)^4 < q^3(q+1) for q >= 1",
              ((-1, 4, -6, 5), 1),
              note="q^3(q+1) - (q-1)^4 = 5q^3 - 6q^2 + 4q - 1"),
-        Step("psl3.factor_identity", "poly_zero", "q^3(q^3-1)(q^2-1) = q^3(q-1)^2(q+1)(q^2+q+1) identically",
-             (tuple(_poly_sub(
-                 _poly_mul(_poly_mul([0, 0, 0, 1], [-1, 0, 0, 1]), [-1, 0, 1]),
-                 _poly_mul(_poly_mul(_poly_mul([0, 0, 0, 1], _poly_pow((-1, 1), 2)), [1, 1]), [1, 1, 1]),
-             )),),
+        Step("psl3.factor_identity", "arith", "q^3(q^3-1)(q^2-1) = q^3(q-1)^2(q+1)(q^2+q+1) identically",
+             (_poly_mul(_poly_mul([0, 0, 0, 1], [-1, 0, 0, 1]), [-1, 0, 1]),
+              _poly_mul(_poly_mul(_poly_mul([0, 0, 0, 1], _poly_pow((-1, 1), 2)), [1, 1]), [1, 1, 1])),
              note="the difference of the two factorizations expands to the zero polynomial"),
         Step("psl3.q2q1", "poly", "q^2+q+1 < 2q^2 for q >= 2", ((-1, -1, 1), 2)),
         Step("psl3.assembly_printed", "point_fail", "printed assembly drops a 90^(1/3) factor",
@@ -612,7 +591,7 @@ def registry():
              note="720(g-1)^(4/3) < 290(g-1)^(7/4) for g >= 10 (sharp at 10)"),
         Step("psl3.arith_66055", "arith", "twisted constant 720/1.09", (F(720) / F(109, 100), F(72000, 109))),
         Step("psl3.c96109", "const", "collapse (720/1.09)*90^(1/12)",
-             (F(72000, 109), 90, 12, F(96109, 100), False),
+             (F(72000, 109), 90, 12, F(96109, 100)),
              note="(720/1.09)^12 * 90 <= 961.09^12"),
         Step("psl3.s463", "dominates", "exponent drop 17/12 to 7/4 from g >= 10",
              (PowerBound(F(96109, 100), shift=-1, num=17, den=12), PowerBound(F(463), shift=-1, num=7, den=4), 10, None),
@@ -695,7 +674,7 @@ def classify(order_g: int, g: int):
     named = {
         "hurwitz": order_g <= 84 * (g - 1),
         "nakajima": order_g <= 84 * g * (g - 1),
-        "solvable-3/2": _sign((order_g**2, 1), (34**2 * (g + 1) ** 3, 1)) <= 0,
+        "solvable-3/2": order_g**2 <= 34**2 * (g + 1) ** 3,
         "main-7/4": holds_at(MAIN, order_g, g),
     }
     return {label for label, ok in named.items() if ok}

@@ -68,7 +68,7 @@ class GroupFacts(Record):
 
     def __init__(self, p: int, order: int, wild_catalog: tuple, tame_catalog: tuple):
         for q1, e1 in wild_catalog:
-            if gcd(e1, p) != 1 or e1 > q1 - 1:
+            if gcd(e1, p) != 1 or not 1 <= e1 <= q1 - 1:
                 raise ValueError(f"invalid wild entry ({q1},{e1})")
             d, _ = factor_prime_power(q1)
             if d != p:

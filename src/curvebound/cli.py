@@ -83,15 +83,9 @@ class Report:
 
 
 def _plain(value):
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if hasattr(value, "denominator"):  # an exact rational, such as a Fraction
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return [_plain(v) for v in sorted(value)]
-    return str(value)
+    return value
 
 
 def _csv_cell(value):
@@ -140,16 +134,16 @@ def cmd_enumerate(group: str, char: int) -> Report:
         raise UsageError(f"the {group} generator file builds a group whose element orders are not {element_orders}")
     facts = classical.sporadic_facts(group.upper(), char)
     candidates = ramification.enumerate_case_iii(facts)
-    coefficient = ramification.case_i_ii_coefficient(facts)
+    num, den = ramification.case_i_ii_coefficient(facts)
     report = Report(
         command=["enumerate", "--group", group, "--char", str(char)],
         input_digest=_digest(group, str(char), str(facts.wild_catalog), str(facts.tame_catalog)),
     )
-    coeff_ok = coefficient < ramification.HURWITZ_COEFF
+    coeff_ok = num < ramification.HURWITZ_COEFF * den
     report.add(
         f"{group} p={char} one-wild-point coefficient",
         "holds" if coeff_ok else "fails",
-        coefficient=coefficient,
+        coefficient=f"{num}/{den}" if den != 1 else str(num),
         bound=ramification.HURWITZ_COEFF,
         wild_catalog=[list(w) for w in facts.wild_catalog],
     )

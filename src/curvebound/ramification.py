@@ -1,14 +1,14 @@
-"""Genus and p-rank bookkeeping for Galois covers, in exact rationals.
+"""Genus and p-rank bookkeeping for Galois covers, on integers.
 
 Covers the Hurwitz genus formula, the Deuring-Shafarevich formula, and the
 two-branch-point enumeration that classifies even-genus actions of the two
-sporadic candidate groups.  No floating point enters any computation here.
+sporadic candidate groups.  Rationals are cleared to integers before they are
+compared; no floating point or ``Fraction`` enters any computation here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import Record
 from .arith import factor_prime_power
@@ -16,59 +16,35 @@ from .arith import factor_prime_power
 HURWITZ_COEFF = 84
 
 
-class WildStabilizer(Record):
-    """Wild one-point stabilizer shape: p-part of order q1, cyclic part E1."""
-
-    __slots__ = ("q1", "E1")
-
-    def __init__(self, q1: int, E1: int):
-        p, _ = factor_prime_power(q1)
-        if gcd(E1, p) != 1:
-            raise ValueError(f"complement order {E1} not coprime to {p}")
-        if not 1 <= E1 <= q1 - 1:
-            raise ValueError(f"complement order {E1} exceeds {q1 - 1}")
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "E1", E1)
-
-
-def wild_different(w: WildStabilizer):
-    """(e, d) for a wild point with trivial second ramification group.
+def wild_different(q1: int, E1: int):
+    """(e, d) of a wild point: p-part of order q1, cyclic part E1, trivial second ramification group.
 
     e = q1*E1 and the different exponent is d = (e - 1) + (q1 - 1).
     """
-    e = w.q1 * w.E1
-    return e, e + w.q1 - 2
+    e = q1 * E1
+    return e, e + q1 - 2
 
 
-class RamSignature(Record):
-    """Quotient genus with a multiset of (e, d, count) branch-point data."""
+def hurwitz_genus(order_g: int, quotient_genus: int, points) -> int | None:
+    """Genus g of the cover from 2g - 2 = |G|(2ḡ - 2 + Σ count·d/e), None if g is not integral.
 
-    __slots__ = ("quotient_genus", "points")  # points: (ramification index, different exponent, count)
-
-    def __init__(self, quotient_genus: int, points: tuple):
-        if quotient_genus < 0:
-            raise ValueError("negative quotient genus")
-        for e, d, count in points:
-            if e < 2 or count < 1:
-                raise ValueError(f"invalid branch entry ({e},{d},{count})")
-            if d < e - 1:
-                raise ValueError(f"different exponent {d} below tame minimum {e - 1}")
-        object.__setattr__(self, "quotient_genus", quotient_genus)
-        object.__setattr__(self, "points", points)
-
-
-def hurwitz_genus(order_g: int, sig: RamSignature) -> Fraction:
-    """Genus of the cover from 2g - 2 = |G|(2ḡ - 2 + Σ count·d/e).
-
-    Exact rational; the caller decides what to do with non-integral or
-    negative values (they mean the signature is infeasible).
+    ``points`` holds (e, d, count) entries.  The sum is cleared over L = lcm
+    of the e, so g is integral iff 2(g - 1)·L is a multiple of 2L.  Negative
+    and None values mean the signature is infeasible; the caller decides.
     """
     if order_g < 1:
         raise ValueError("group order must be positive")
-    total = Fraction(2 * (sig.quotient_genus - 1))
-    for e, d, count in sig.points:
-        total += Fraction(count * d, e)
-    return 1 + Fraction(order_g, 2) * total
+    if quotient_genus < 0:
+        raise ValueError("negative quotient genus")
+    for e, d, count in points:
+        if e < 2 or count < 1:
+            raise ValueError(f"invalid branch entry ({e},{d},{count})")
+        if d < e - 1:
+            raise ValueError(f"different exponent {d} below tame minimum {e - 1}")
+    clear = lcm(*(e for e, _, _ in points))
+    total = order_g * (2 * (quotient_genus - 1) * clear + sum(count * d * (clear // e) for e, d, count in points))
+    gm1, rest = divmod(total, 2 * clear)
+    return None if rest else gm1 + 1
 
 
 def deuring_shafarevich(order_s: int, quotient_p_rank: int, short_orbit_sizes) -> int:
@@ -119,14 +95,11 @@ def enumerate_case_iii(facts):
     """
     out = []
     for q1, e_one in facts.wild_catalog:
-        w = WildStabilizer(q1, e_one)
-        e1, d1 = wild_different(w)
+        e1, d1 = wild_different(q1, e_one)
         for e2 in facts.tame_catalog:
-            sig = RamSignature(0, ((e1, d1, 1), (e2, e2 - 1, 1)))
-            g = hurwitz_genus(facts.order, sig)
-            if g.denominator != 1 or g < 2:
+            g = hurwitz_genus(facts.order, 0, ((e1, d1, 1), (e2, e2 - 1, 1)))
+            if g is None or g < 2:
                 continue
-            g_int = int(g)
             out.append(
                 Candidate(
                     e1=e1,
@@ -135,9 +108,9 @@ def enumerate_case_iii(facts):
                     d2=e2 - 1,
                     q1=q1,
                     E1=e_one,
-                    g=g_int,
-                    passes_parity=(g_int % 2 == 0),
-                    passes_hurwitz_filter=(facts.order > HURWITZ_COEFF * (g_int - 1)),
+                    g=g,
+                    passes_parity=(g % 2 == 0),
+                    passes_hurwitz_filter=(facts.order > HURWITZ_COEFF * (g - 1)),
                     p_group_stabilizer=(e_one == 1),
                     small_wild_part=(q1 == facts.p and e_one == 2),
                 )
@@ -146,18 +119,21 @@ def enumerate_case_iii(facts):
     return out
 
 
-def case_i_ii_coefficient(facts) -> Fraction:
-    """max over the wild catalog of 2*E1*q1/(q1 - 2).
+def case_i_ii_coefficient(facts):
+    """max over the wild catalog of 2*E1*q1/(q1 - 2), as a (numerator,
+    denominator) pair in lowest terms; candidates are compared by
+    cross-multiplication.
 
     In the one-wild-point cases the group order equals this coefficient times
     (g - 1) or is bounded by it, so comparing against 84 settles them.
     """
     if not facts.wild_catalog:
         raise ValueError("empty wild catalog")
-    best = Fraction(0)
+    num, den = 0, 1
     for q1, e_one in facts.wild_catalog:
         if q1 <= 2:
             raise ValueError(f"wild part {q1} too small for the coefficient")
-        best = max(best, Fraction(2 * e_one * q1, q1 - 2))
-    return best
-
+        if 2 * e_one * q1 * den > num * (q1 - 2):
+            num, den = 2 * e_one * q1, q1 - 2
+    common = gcd(num, den)
+    return num // common, den // common

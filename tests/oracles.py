@@ -5,10 +5,12 @@ the package: second routes to values the package computes (a schoolbook
 product and a left-fold power, field tables by polynomial arithmetic, point
 counts over every x, a p-rank read off point counts and one by squaring the
 Cartier matrix, the Cartier matrix by two rules), properties read off a
-stabilizer chain, and the exhaustive branch-data solver.
+stabilizer chain, the Hurwitz genus in exact rationals, and the exhaustive
+branch-data solver.
 """
 
 from array import array
+from fractions import Fraction
 from itertools import product
 from math import comb, gcd
 from operator import mul
@@ -262,6 +264,14 @@ def chain_passes(chain_id: str) -> bool:
 
 
 # -- branch data -------------------------------------------------------------------
+
+
+def hurwitz_genus_reference(order_g: int, quotient_genus: int, points) -> Fraction:
+    """g from 2g - 2 = |G|(2ḡ - 2 + Σ count·d/e), summed term by term as a Fraction."""
+    total = Fraction(2 * (quotient_genus - 1))
+    for e, d, count in points:
+        total += Fraction(count * d, e)
+    return 1 + Fraction(order_g, 2) * total
 
 
 class UnboundedInstanceError(ValueError):

@@ -1,3 +1,4 @@
+import random
 import re
 import time
 from fractions import Fraction
@@ -155,7 +156,7 @@ def test_const_steps_against_high_precision():
         for step in bounds.chain_steps(cid):
             if step.kind != "const":
                 continue
-            coeff, radicand, root, rhs, strict = step.params
+            coeff, radicand, root, rhs = step.params
             exact = F(coeff) ** root * F(radicand) <= F(rhs) ** root
             rad = F(radicand)
             with mpmath.workdps(60):
@@ -239,6 +240,16 @@ def test_integer_kth_root_is_the_floor_root(k):
     for n in radicands:
         x = bounds._integer_kth_root(n, k)
         assert x**k <= n < (x + 1) ** k, (n, k)
+
+
+def test_min_even_genus_matches_a_walk_from_two():
+    rng = random.Random(18)
+    order_bounds = [rng.randrange(10 ** rng.randrange(1, 9)) for _ in range(500)]
+    for order_bound in order_bounds + [0, 1, 168, 169, 84 * 12 * 11, 84 * 12 * 11 + 1, 10**8]:
+        g = 2
+        while 84 * g * (g - 1) < order_bound:
+            g += 2
+        assert bounds._min_even_genus(order_bound) == g, order_bound
 
 
 def test_classify_named_pairs():

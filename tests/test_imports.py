@@ -201,7 +201,7 @@ def test_bounds_loads_no_group_layer():
 NEVER_LOADED = {"dataclasses", "inspect", "csv"}
 UNNEEDED = [
     ("group-audit", ["group-audit", "alt7"], {"fractions", "curvebound.fppoly"}),
-    ("enumerate", ["enumerate", "--group", "m11", "--char", "3"], {"curvebound.fppoly"}),
+    ("enumerate", ["enumerate", "--group", "m11", "--char", "3"], {"fractions", "curvebound.fppoly"}),
     ("bounds-all", ["bounds", "all"], {"curvebound.fppoly"}),
     ("bounds-classify", ["bounds", "main", "--order", "7920", "--genus", "26"], {"curvebound.fppoly"}),
     ("prank", ["prank", "--p", "3", "--curve", "y^2=x^5-x"], {"curvebound.ramification"}),

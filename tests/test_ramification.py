@@ -1,15 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import UnboundedInstanceError, solve_branch_data
+from oracles import UnboundedInstanceError, hurwitz_genus_reference, solve_branch_data
 
-from curvebound.classical import sporadic_facts
+from curvebound.classical import GroupFacts, sporadic_facts
 from curvebound.prank import kummer_genus
 from curvebound.ramification import (
-    RamSignature,
-    WildStabilizer,
     case_i_ii_coefficient,
     deuring_shafarevich,
     enumerate_case_iii,
@@ -37,44 +36,68 @@ PRINTED_WILD_PAIRS = [
 @pytest.mark.parametrize("qe,expected", PRINTED_WILD_PAIRS)
 def test_wild_different_reproduces_printed_pairs(qe, expected):
     q1, e1 = qe
-    assert wild_different(WildStabilizer(q1, e1)) == expected
+    assert wild_different(q1, e1) == expected
 
 
 def test_wild_stabilizer_validation():
+    # GroupFacts is the one place a wild stabilizer shape (q1, E1) is checked
     with pytest.raises(ValueError):
-        WildStabilizer(9, 9)  # complement shares the prime
+        GroupFacts(3, 2520, ((9, 9),), ())  # complement shares the prime
     with pytest.raises(ValueError):
-        WildStabilizer(9, 16)  # complement too large
+        GroupFacts(3, 2520, ((9, 16),), ())  # complement too large
     with pytest.raises(ValueError):
-        WildStabilizer(12, 1)  # not a prime power
+        GroupFacts(3, 2520, ((12, 1),), ())  # not a prime power
+
+
+@pytest.mark.parametrize("e1", [0, -1])
+def test_group_facts_refuse_a_complement_below_one(e1):
+    with pytest.raises(ValueError):
+        GroupFacts(3, 2520, ((9, e1),), ())
 
 
 def test_signature_validation():
     with pytest.raises(ValueError):
-        RamSignature(0, ((4, 2, 1),))  # d below e - 1
+        hurwitz_genus(2520, 0, ((4, 2, 1),))  # d below e - 1
     with pytest.raises(ValueError):
-        RamSignature(-1, ())
-    RamSignature(0, ((4, 3, 2), (72, 79, 1)))
+        hurwitz_genus(2520, -1, ())
+    hurwitz_genus(2520, 0, ((4, 3, 2), (72, 79, 1)))
 
 
 def test_hurwitz_named_values():
-    assert hurwitz_genus(7920, RamSignature(0, ((72, 79, 1), (11, 10, 1)))) == 26
-    assert hurwitz_genus(2520, RamSignature(0, ((20, 23, 1), (7, 6, 1)))) == 10
+    assert hurwitz_genus(7920, 0, ((72, 79, 1), (11, 10, 1))) == 26
+    assert hurwitz_genus(2520, 0, ((20, 23, 1), (7, 6, 1))) == 10
     # unramified covers: g = n(g_bar - 1) + 1
-    assert hurwitz_genus(1, RamSignature(5, ())) == 5
-    assert hurwitz_genus(12, RamSignature(3, ())) == 25
+    assert hurwitz_genus(1, 5, ()) == 5
+    assert hurwitz_genus(12, 3, ()) == 25
     # non-integral and negative answers are returned, not raised
-    assert hurwitz_genus(2520, RamSignature(0, ((3, 4, 1), (2, 1, 1)))).denominator == 1
-    assert hurwitz_genus(60, RamSignature(0, ((2, 1, 1),))) < 2
+    assert hurwitz_genus(2520, 0, ((3, 4, 1), (2, 1, 1))) == -209
+    assert hurwitz_genus(10, 0, ((7, 6, 1),)) is None
+    assert hurwitz_genus(60, 0, ((2, 1, 1),)) < 2
+
+
+def test_hurwitz_genus_matches_the_rational_formula():
+    rng = random.Random(20261019)
+    seen = {"negative": 0, "non-integral": 0}
+    for _ in range(5000):
+        points = []
+        for _ in range(rng.randrange(4)):
+            e = rng.randrange(2, 80)
+            points.append((e, e - 1 + rng.randrange(3 * e), rng.randrange(1, 4)))
+        order, quotient_genus = rng.randrange(1, 10000), rng.randrange(3)
+        g = hurwitz_genus(order, quotient_genus, tuple(points))
+        exact = hurwitz_genus_reference(order, quotient_genus, points)
+        assert g == (exact if exact.denominator == 1 else None), (order, quotient_genus, points)
+        seen["negative"] += g is not None and g < 0
+        seen["non-integral"] += g is None
+    assert min(seen.values()) > 100, seen
 
 
 def test_hurwitz_integrality_crosscheck():
     # candidate constructor and direct evaluation must agree on 2g - 2
     facts = sporadic_facts("M11", 3)
     for cand in enumerate_case_iii(facts):
-        sig = RamSignature(0, ((cand.e1, cand.d1, 1), (cand.e2, cand.d2, 1)))
-        g = hurwitz_genus(facts.order, sig)
-        assert g.denominator == 1 and int(g) == cand.g
+        g = hurwitz_genus(facts.order, 0, ((cand.e1, cand.d1, 1), (cand.e2, cand.d2, 1)))
+        assert g == cand.g
         lhs = Fraction(2 * cand.g - 2)
         rhs = facts.order * (Fraction(-2) + Fraction(cand.d1, cand.e1) + Fraction(cand.d2, cand.e2))
         assert lhs == rhs
@@ -179,23 +202,30 @@ def test_all_candidates_have_integral_genus_at_least_two():
             assert cand.g >= 2
 
 
+def _coefficient(name, p):
+    return Fraction(*case_i_ii_coefficient(sporadic_facts(name, p)))
+
+
 def test_case_coefficients():
-    assert case_i_ii_coefficient(sporadic_facts("ALT7", 3)) == 12
-    assert case_i_ii_coefficient(sporadic_facts("ALT7", 5)) == Fraction(40, 3)
-    assert case_i_ii_coefficient(sporadic_facts("ALT7", 7)) == Fraction(42, 5)
-    assert case_i_ii_coefficient(sporadic_facts("M11", 3)) == Fraction(144, 7)
-    assert case_i_ii_coefficient(sporadic_facts("M11", 5)) == Fraction(40, 3)
-    assert case_i_ii_coefficient(sporadic_facts("M11", 11)) == Fraction(110, 9)
+    assert _coefficient("ALT7", 3) == 12
+    assert _coefficient("ALT7", 5) == Fraction(40, 3)
+    assert _coefficient("ALT7", 7) == Fraction(42, 5)
+    assert _coefficient("M11", 3) == Fraction(144, 7)
+    assert _coefficient("M11", 5) == Fraction(40, 3)
+    assert _coefficient("M11", 11) == Fraction(110, 9)
     for name, primes in (("ALT7", (3, 5, 7)), ("M11", (3, 5, 11))):
         for p in primes:
-            assert case_i_ii_coefficient(sporadic_facts(name, p)) < 84
+            assert _coefficient(name, p) < 84
+
+
+def test_coefficient_is_in_lowest_terms():
+    assert case_i_ii_coefficient(sporadic_facts("ALT7", 3)) == (12, 1)
+    assert case_i_ii_coefficient(sporadic_facts("M11", 3)) == (144, 7)
 
 
 def test_coefficient_single_entry():
-    from curvebound.classical import GroupFacts
-
     facts = GroupFacts(5, 20, ((5, 1),), (2,))
-    assert case_i_ii_coefficient(facts) == Fraction(2 * 5, 3)
+    assert Fraction(*case_i_ii_coefficient(facts)) == Fraction(2 * 5, 3)
 
 
 def test_solver_instances():
