@@ -13,7 +13,9 @@ The registry stores each chain step in the normalization the source argument
 uses.  A handful of printed steps are genuinely false as stated; they are
 registered with ``slip=True`` together with an exact failure witness, and
 each has a validated companion step covering the same link of the chain.  A
-chain passes iff every step reproduces its frozen verdict.
+chain passes iff every step reproduces its frozen verdict.  The verdicts
+depend on the frozen registry alone, so each chain is audited once per
+process.
 """
 
 from __future__ import annotations
@@ -649,9 +651,15 @@ def chain_steps(chain_id: str):
     return list(chains[chain_id])
 
 
+@cache
+def _audited(chain_id):
+    """The reports of one chain, as a tuple: ``audit_chain`` copies it for each caller."""
+    return tuple(_KIND_DISPATCH[step.kind](step) for step in chain_steps(chain_id))
+
+
 def audit_chain(chain_id: str):
     """Audit every step of one chain; raises KeyError for unknown ids."""
-    return [_KIND_DISPATCH[step.kind](step) for step in chain_steps(chain_id)]
+    return list(_audited(chain_id))
 
 
 def audit_all():

@@ -2,11 +2,13 @@
 
 Every group is one level of its own stabilizer chain: a base point, the
 transversal of its orbit, and the point's stabilizer as a group again.  One
-orbit routine serves the whole engine.  It runs a BFS over the generators
-and returns the transversal and the Schreier generators of the stabilizer.
-Adding a generator reruns it on the base point and passes each Schreier
-generator that is not yet a member down to the stabilizer, so every level
-generates exactly the stabilizer of its base point.  Point stabilizers,
+orbit routine serves the whole engine.  It runs a BFS over the generators,
+extends a transversal in place and returns the Schreier generators of the
+stabilizer that come from (point, generator) pairs it had not seen.  Adding
+a generator extends the base point's orbit: the new generator is applied to
+the old points and every generator to the new ones.  Each Schreier
+generator that is not yet a member passes down to the stabilizer, so every
+level generates exactly the stabilizer of its base point.  Point stabilizers,
 normalizers (stabilizers of an element set under conjugation) and subgroup
 class sizes (orbit lengths) come from the same routine.  Each conjugation
 orbit of subgroups is computed once per group: the normalizer of any other
@@ -16,7 +18,8 @@ of the group's sorted elements that normalizes it and lies outside it; the
 p-subgroups inside it are chains grown one generator at a time, and
 simplicity is decided by normal closures of elements of prime order in
 Sylow centres.  No group fact is ever read from a table.  Element scans,
-sifts and orbits compose by ``bytes.translate`` (see ``perm``).
+sifts and orbits compose by ``bytes.translate`` (see ``perm``); the inverse
+table of a transversal element is made once, when its point joins the orbit.
 
 A group's generators and chain are fixed once it is constructed.  Three
 caches are filled on first use, and an entry once written never changes:
@@ -66,8 +69,10 @@ class PermGroup:
                 raise DegreeMismatchError(f"generator degree {g.degree} != {degree}")
         self.degree = degree
         self.generators = ()
+        self._moves = ()  # (generator, its table) for each generator, in order
         self._base_point = None
-        self._transversal = {}
+        self._transversal = {}  # orbit point -> element carrying the base point there
+        self._inverses = {}  # orbit point -> that element's inverse table
         self._stabilizer = None
         self._order = 1
         self._elements = None
@@ -83,47 +88,60 @@ class PermGroup:
         """Extend the group by g, a permutation outside it.
 
         Only for a group no caller holds yet, so that returned groups stay
-        immutable.  The orbit of the base point is recomputed under the new
-        generators, and every Schreier generator outside the stabilizer
-        extends the stabilizer in turn.
+        immutable.  The base point's orbit is extended under g in place, and
+        every new Schreier generator outside the stabilizer extends the
+        stabilizer in turn.
         """
         self.generators += (g,)
+        self._moves += ((g, g.table()),)
         if self._stabilizer is None:
             self._base_point = g.min_moved()
             self._stabilizer = PermGroup([], self.degree)
-        self._transversal, schreier = self._orbit(self._base_point, lambda pt, g, table: g[pt])
-        for s in schreier:
+            self._transversal, self._inverses = self._root(self._base_point)
+        for s in self._orbit(self._transversal, self._inverses, len(self.generators) - 1):
             if s not in self._stabilizer:
                 self._stabilizer._add(s)
         self._order = len(self._transversal) * self._stabilizer._order
 
-    def _orbit(self, x, act):
-        """Orbit of x under ``act(y, g, table)`` as a transversal, and the Schreier generators.
+    def _root(self, x):
+        """The transversal and inverse tables of the orbit {x}, to extend with ``_orbit``."""
+        identity = self.identity()
+        return {x: identity}, {x: identity.inverse_table()}
 
-        The orbit is found by BFS over the generators; ``transversal[y]``
-        carries x to y.  By Schreier's lemma the elements t_y g t_act(y,g)^-1,
-        two translates each, generate the stabilizer of x; they are returned
-        deduplicated and sorted, so every run builds the same chain.
+    def _orbit(self, transversal, inverses, seen=0, act=None):
+        """Close an orbit in place under the generators; return the new Schreier generators.
+
+        The generators act on points, or through ``act(y, g, table)``.
+        ``transversal[y]`` carries the orbit's root to y and ``inverses[y]``
+        is its inverse table.  The pairs of a point already in the orbit with
+        one of the first ``seen`` generators were handled before: the old
+        points meet only the later generators, and the BFS runs over every
+        generator from each point it adds.  By Schreier's lemma the elements
+        t_y g t_act(y,g)^-1, two translates each, of all pairs generate the
+        stabilizer of the root.  Those of the pairs handled here are returned
+        deduplicated, without the identity, and sorted, so every run builds
+        the same chain.
         """
-        moves = [(g, g.table()) for g in self.generators]
-        transversal = {x: self.identity()}
-        frontier = [x]
+        moves = self._moves
+        frontier, first = list(transversal), moves[seen:]
         schreier = set()
         while frontier:
             new = []
             for y in frontier:
                 t = transversal[y]
-                for g, table in moves:
-                    z = act(y, g, table)
+                for g, table in first:
+                    z = table[y] if act is None else act(y, g, table)
                     tg = t.translate(table)
-                    u = transversal.get(z)
-                    if u is None:
-                        transversal[z] = _new(Permutation, tg)
+                    inverse = inverses.get(z)
+                    if inverse is None:
+                        transversal[z] = u = _new(Permutation, tg)
+                        inverses[z] = u.inverse_table()
                         new.append(z)
                     else:
-                        schreier.add(tg.translate(u.inverse_table()))
-            frontier = new
-        return transversal, [_new(Permutation, s) for s in sorted(schreier)]
+                        schreier.add(tg.translate(inverse))
+            frontier, first = new, moves
+        schreier.discard(self.identity())
+        return [_new(Permutation, s) for s in sorted(schreier)]
 
     def _chain(self):
         """The levels of the stabilizer chain that have a base point, top first."""
@@ -139,13 +157,15 @@ class PermGroup:
 
     def sift(self, g: Permutation) -> Permutation:
         """Strip g through the stabilizer chain; identity iff g is a member."""
-        if g.degree != self.degree:
-            raise DegreeMismatchError(f"degree {g.degree} != group degree {self.degree}")
-        for level in self._chain():
-            t = level._transversal.get(g[level._base_point])
-            if t is None:
+        if len(g) != self.degree:
+            raise DegreeMismatchError(f"degree {len(g)} != group degree {self.degree}")
+        level = self
+        while level._stabilizer is not None:
+            inverse = level._inverses.get(g[level._base_point])
+            if inverse is None:
                 break
-            g = g.translate(t.inverse_table())
+            g = g.translate(inverse)
+            level = level._stabilizer
         return _new(Permutation, g)
 
     def __contains__(self, g: Permutation) -> bool:
@@ -197,8 +217,7 @@ class PermGroup:
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         """Stabilizer of a point (0-based)."""
-        _, schreier = self._orbit(point, lambda pt, g, table: g[pt])
-        return PermGroup(schreier, self.degree)
+        return PermGroup(self._orbit(*self._root(point)), self.degree)
 
     # -- derived structure ---------------------------------------------------
 
@@ -303,9 +322,11 @@ class PermGroup:
         for h in subgroup.generators:
             if h not in self:
                 raise ValueError("not a subgroup: generator outside the group")
+        transversal, inverses = self._root(frozenset(subgroup.elements()))
         # g^-1 h g sends g(i) to g(h(i)); the conjugates stay plain bytes, equal to the Permutations
-        return self._orbit(frozenset(subgroup.elements()), lambda elements, g, table: frozenset(
+        schreier = self._orbit(transversal, inverses, act=lambda elements, g, table: frozenset(
             bytes.maketrans(g, h.translate(table))[: self.degree] for h in elements))
+        return transversal, schreier
 
 
 # -- oracles and p-subgroups ----------------------------------------------

@@ -121,6 +121,41 @@ def test_registry_chain_ids_and_errors():
         bounds.audit_chain("nosuch")
 
 
+def test_each_step_is_audited_once_per_process(monkeypatch):
+    seen = []
+
+    def spy(check):
+        def audit(step):
+            seen.append(step.step_id)
+            return check(step)
+        return audit
+
+    monkeypatch.setattr(bounds, "_KIND_DISPATCH", {kind: spy(check) for kind, check in bounds._KIND_DISPATCH.items()})
+    bounds._audited.cache_clear()
+    try:
+        first, second = bounds.audit_all(), bounds.audit_all()
+    finally:
+        bounds._audited.cache_clear()
+    steps = [step.step_id for cid in bounds.chain_ids() for step in bounds.chain_steps(cid)]
+    assert len(steps) == 65
+    assert sorted(seen) == sorted(steps)
+    assert first == second
+
+
+def test_mutating_an_audit_result_leaves_the_next_one_unchanged():
+    expected = {cid: list(reports) for cid, reports in bounds.audit_all().items()}
+    mutated = bounds.audit_all()
+    mutated["psl3"].clear()
+    mutated["headline"].append(mutated["prelim"][0])
+    mutated["prelim"].reverse()
+    del mutated["psu3"]
+    bounds.audit_chain("psl2_case1").pop()
+    assert bounds.audit_all() == expected
+    assert bounds.audit_chain("psl2_case1") == expected["psl2_case1"]
+    with pytest.raises(KeyError):
+        bounds.audit_chain("nosuch")
+
+
 def test_every_chain_passes():
     for cid in bounds.chain_ids():
         assert chain_passes(cid), cid

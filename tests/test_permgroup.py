@@ -373,25 +373,88 @@ RANDOM_SETS = [
 ]
 
 
-@pytest.mark.parametrize("gens", RANDOM_SETS)
-def test_random_groups_against_closure(gens):
-    n = gens[0].degree
-    group = PermGroup(gens, n)
-    closure = closure_elements(gens, n)
+def check_chain_against_closure(group, closure, probes):
+    """Order, elements and membership as the closure's, and every level the stabilizer of its base point."""
     assert group.order() == len(closure)
     assert set(group.elements()) == closure
-    assert all(g in group for g in gens)
-    assert set(group.generators) <= set(gens)
-    rng = random.Random(n)
-    probes = [Permutation(rng.sample(range(n), n)) for _ in range(200)]
     for x in probes:
         assert (x in group) == (x in closure)
     level = group
     for point in base(group):
         assert level._base_point == point
         assert set(level._stabilizer.elements()) == {x for x in level.elements() if x(point) == point}
+        assert level._inverses.keys() == level._transversal.keys()
+        for y, t in level._transversal.items():
+            assert t(point) == y
+            assert t.translate(level._inverses[y]) == group.identity()
         level = level._stabilizer
     assert level.order() == 1
+
+
+@pytest.mark.parametrize("gens", RANDOM_SETS)
+def test_random_groups_against_closure(gens):
+    n = gens[0].degree
+    group = PermGroup(gens, n)
+    closure = closure_elements(gens, n)
+    assert all(g in group for g in gens)
+    assert set(group.generators) <= set(gens)
+    rng = random.Random(n)
+    check_chain_against_closure(group, closure, [Permutation(rng.sample(range(n), n)) for _ in range(200)])
+
+
+def grown_one_at_a_time(sequence, degree):
+    """A chain grown through ``_add`` by every permutation of the sequence outside it, in order."""
+    grown = PermGroup([], degree)
+    for g in sequence:
+        if g not in grown:
+            grown._add(g)
+    return grown
+
+
+def check_grown_against_built(gens, prefix, seed):
+    """Grow ⟨gens⟩ by the members in ``prefix``, then the generators; compare with the group built at once."""
+    n = gens[0].degree
+    closure = closure_elements(gens, n)
+    grown, built = grown_one_at_a_time(list(prefix) + list(gens), n), PermGroup(gens, n)
+    rng = random.Random(seed)
+    members = sorted(closure)
+    probes = [Permutation(rng.sample(range(n), n)) for _ in range(100)] + rng.sample(members, min(100, len(members)))
+    check_chain_against_closure(grown, closure, probes)
+    assert grown.order() == built.order()
+    assert grown.elements() == built.elements()
+    assert [x in grown for x in probes] == [x in built for x in probes]
+    return grown
+
+
+@pytest.mark.parametrize("gens", RANDOM_SETS)
+def test_chain_grown_one_generator_at_a_time(gens):
+    n = gens[0].degree
+    rng = random.Random(n)
+    prefix = [rng.choice(sorted(closure_elements(gens, n))) for _ in range(6)]
+    check_grown_against_built(gens, prefix, n)
+
+
+@pytest.mark.parametrize("name", ["alt7", "m11"])
+def test_sporadic_chain_grown_one_generator_at_a_time(name, request):
+    # Sylow growth order: each of these generators extends the chain by a little.
+    group = request.getfixturevalue(name)
+    prefix = [g for p in (2, 3, 5) for g in group.sylow_subgroup(p).generators]
+    grown = check_grown_against_built(list(group.generators), prefix, 19)
+    assert len(grown.generators) > len(group.generators) + 2
+
+
+def test_later_generator_moving_a_point_below_the_base_point():
+    # ⟨(4,5,6)⟩ has base point 3 (0-based); (1,4) and then (2,3) move points below it.
+    sequence = [_cycle((4, 5, 6), 6), _cycle((1, 4), 6), _cycle((2, 3), 6)]
+    grown = grown_one_at_a_time(sequence, 6)
+    assert grown.generators == tuple(sequence)
+    assert base(grown)[0] == 3 > min(base(grown))
+    assert sequence[1].min_moved() == 0 and sequence[2].min_moved() == 1
+    closure = closure_elements(sequence, 6)
+    assert len(closure) == 24 * 2
+    rng = random.Random(6)
+    check_chain_against_closure(grown, closure, [Permutation(rng.sample(range(6), 6)) for _ in range(200)])
+    assert grown.elements() == PermGroup(sequence, 6).elements()
 
 
 @pytest.mark.parametrize("gens", RANDOM_SETS)
