@@ -53,17 +53,11 @@ class PowerBound(Record):
 
 
 def holds_at(b: PowerBound, value: int, g: int) -> bool:
-    """Exact test value < bound(g), decided by clearing the root."""
+    """Exact test value < bound(g), decided by raising both sides to den."""
     if g + b.shift < 0 or value < 0:
         raise ValueError("operands must be non-negative")
-    raised = b.coeff.numerator**b.den, b.coeff.denominator**b.den
-    return _below_root(value, b.den, raised, b.mult * (g + b.shift) ** b.num)
-
-
-def _below_root(value: int, den: int, raised, rest: int) -> bool:
-    """Exact test value < (c * rest)^(1/den), where ``raised`` is c as a
-    (numerator, denominator) pair; the root is cleared by raising value to den."""
-    return value**den * raised[1] < raised[0] * rest
+    c, den = b.coeff, b.den
+    return value**den * c.denominator**den < c.numerator**den * b.mult * (g + b.shift) ** b.num
 
 
 def _exponents(b1: PowerBound, b2: PowerBound):
@@ -366,10 +360,9 @@ def _holds_at_step(step):
 
 
 def _per_q_step(step):
-    orders, gm1_fn, coeff, num, den, tail_coeffs, tail_start = step.params
-    raised = coeff.numerator**den, coeff.denominator**den
+    orders, gm1_fn, bound, tail_coeffs, tail_start = step.params
     for q, order in orders.items():
-        if not _below_root(order, den, raised, gm1_fn(q) ** num):
+        if not holds_at(bound, order, gm1_fn(q)):
             return _verdict(step, False, q)
     tail = poly_positive_from(tail_coeffs, tail_start)
     if tail.verdict != "holds":
@@ -549,7 +542,7 @@ def registry():
              note="even the leading term 240(g-1)(90(g-1))^(3/5) exceeds 242*90^(1/5)(g-1)^(8/5) at g = 40; "
                   "the net claim is validated per q in psu.assembly_perq"),
         Step("psu.assembly_perq", "per_q", "net bound |PSU3(q)| < 595.21 (g-1)^(8/5) on its branch",
-             (psu_orders, _psu_gm1, F(59521, 100), 8, 5, _expand_tail_psu(), 400),
+             (psu_orders, _psu_gm1, PowerBound(F(59521, 100), num=8, den=5), _expand_tail_psu(), 400),
              note="exact for prime powers q = 1 mod 4 up to 400; polynomial tail beyond"),
         Step("psu.s345", "dominates", "exponent drop 8/5 to 7/4 from g >= 40",
              (PowerBound(F(59521, 100), shift=-1, num=8, den=5), PowerBound(F(345), shift=-1, num=7, den=4), 40, None),
@@ -586,7 +579,7 @@ def registry():
              note="180(g-1)((90(g-1))^(1/6)+1)^2 expands to 720*90^(1/3)(g-1)^(4/3), not 720(g-1)^(4/3); "
                   "the net claim is validated per q in psl3.assembly_perq"),
         Step("psl3.assembly_perq", "per_q", "net bound |PGL3(q)| < 290 (g-1)^(7/4) on its branch",
-             (pgl3_orders, _psl3_gm1, F(290), 7, 4, _expand_tail_psl3(), 400),
+             (pgl3_orders, _psl3_gm1, PowerBound(F(290), num=7, den=4), _expand_tail_psl3(), 400),
              note="exact for prime powers q = 3 mod 4 up to 400; polynomial tail beyond"),
         Step("psl3.s290", "dominates", "printed final comparison, as stated",
              (PowerBound(F(720), shift=-1, num=4, den=3), PowerBound(F(290), shift=-1, num=7, den=4), 10, None),

@@ -1,10 +1,9 @@
-"""Closed-form orders for the classical families and sporadic group facts.
+"""Closed-form orders for the classical families, and the enumeration's group facts.
 
-The PSL/PGL/PSU/PGU orders are exact integer formulas.  Facts about the two
-sporadic candidates (the alternating group on 7 points and the Mathieu group
-on 11 points) are always recomputed from their permutation representations,
-never read from a table; ``sporadic_facts`` is the only path that imports the
-group layer.
+The PSL/PGL/PSU/PGU orders are exact integer formulas.  ``group_facts``
+computes the wild and tame catalogs of any permutation group at a prime
+dividing its order, by a live subgroup search; it is the only path that
+uses the group layer, and imports it on first call.
 """
 
 from __future__ import annotations
@@ -12,10 +11,9 @@ from __future__ import annotations
 from math import gcd
 
 from . import Record
-from .arith import factor_prime_power
+from .arith import factor_prime_power, factorize
 
 FAMILIES = ("PSL2", "PGL2", "PSL3", "PGL3", "PSU3", "PGU3")
-SPORADIC_WILD_PRIMES = {"ALT7": (3, 5, 7), "M11": (3, 5, 11)}
 
 
 class FamilySpec(Record):
@@ -82,8 +80,8 @@ class GroupFacts(Record):
         object.__setattr__(self, "tame_catalog", tame_catalog)
 
 
-def sporadic_facts(name: str, p: int) -> GroupFacts:
-    """Wild and tame catalogs for ALT7 or M11 at a wild prime p.
+def group_facts(group, p: int) -> GroupFacts:
+    """Wild and tame catalogs of a permutation group at an odd prime p dividing its order.
 
     The wild catalog is recomputed by a live subgroup search: for every
     elementary abelian Q among the subgroups of one Sylow p-subgroup, the
@@ -92,17 +90,13 @@ def sporadic_facts(name: str, p: int) -> GroupFacts:
     E <= |Q| - 1.  The tame catalog is the element-order set minus 1 and
     multiples of p.
     """
-    key = name.upper()
-    if key not in SPORADIC_WILD_PRIMES:
-        raise ValueError(f"unsupported sporadic group {name!r}")
-    if p not in SPORADIC_WILD_PRIMES[key]:
-        raise ValueError(f"unsupported characteristic {p} for {key}")
-    from . import permgroup
+    if p == 2 or p not in dict(factorize(group.order())):
+        raise ValueError(f"{p} is not an odd prime dividing the group order {group.order()}")
+    from .permgroup import complement_orders
 
-    group = permgroup.load_group(key.lower())
     wild = {
         (q.order(), e)
-        for q, orders in permgroup.complement_orders(group, p)
+        for q, orders in complement_orders(group, p)
         if q.is_elementary_abelian(p)
         for e in orders
         if e <= q.order() - 1

@@ -21,7 +21,12 @@ SCHEMA_VERSION = "1"
 
 # Order and element-order set of each candidate: a finite group sharing both with a finite simple
 # group is isomorphic to it (Shi; Vasil'ev, Grechkoseeva and Mazurov, Algebra and Logic 48, 2009).
-EXPECTED = {"alt7": (2520, [1, 2, 3, 4, 5, 6, 7]), "m11": (7920, [1, 2, 3, 4, 5, 6, 8, 11])}
+# Then, for each wild prime p (an odd prime dividing the order): |P| for a Sylow p-subgroup P,
+# |N(P)|, and the largest |Q||C| with Q a p-subgroup and C a cyclic complement in N(Q).
+EXPECTED = {
+    "alt7": (2520, [1, 2, 3, 4, 5, 6, 7], {3: (9, 36, 36), 5: (5, 20, 20), 7: (7, 21, 21)}),
+    "m11": (7920, [1, 2, 3, 4, 5, 6, 8, 11], {3: (9, 144, 72), 5: (5, 20, 20), 11: (11, 55, 55)}),
+}
 
 
 class UsageError(Exception):
@@ -39,8 +44,7 @@ class Report:
 
     def add(self, anchor: str, verdict: str, **payload):
         row = {"anchor": anchor, "verdict": verdict}
-        for key, value in sorted(payload.items()):
-            row[key] = _plain(value)
+        row.update(sorted(payload.items()))
         self.rows.append(row)
 
     def ok(self) -> bool:
@@ -82,12 +86,6 @@ class Report:
         return {"json": self.to_json, "csv": self.to_csv, "text": self.to_text}[fmt]()
 
 
-def _plain(value):
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def _csv_cell(value):
     if isinstance(value, list):
         return json.dumps(value)
@@ -121,18 +119,17 @@ def cmd_enumerate(group: str, char: int) -> Report:
     from . import classical, permgroup, ramification
     if group not in EXPECTED:
         raise UsageError(f"unknown group {group!r} (choose alt7 or m11)")
-    wild = classical.SPORADIC_WILD_PRIMES[group.upper()]
-    if char not in wild:
+    order, element_orders, by_prime = EXPECTED[group]
+    if char not in by_prime:
         raise UsageError(f"characteristic {char} not supported for {group} "
-                         f"(the characteristic must be an odd prime from {wild})")
+                         f"(the characteristic must be an odd prime from {tuple(by_prime)})")
     with _generator_file(group):
         built = permgroup.load_group(group)
-    order, element_orders = EXPECTED[group]
     if built.order() != order:
         raise UsageError(f"the {group} generator file builds a group of order {built.order()}")
     if sorted(built.element_order_set()) != element_orders:
         raise UsageError(f"the {group} generator file builds a group whose element orders are not {element_orders}")
-    facts = classical.sporadic_facts(group.upper(), char)
+    facts = classical.group_facts(built, char)
     candidates = ramification.enumerate_case_iii(facts)
     num, den = ramification.case_i_ii_coefficient(facts)
     report = Report(
@@ -172,7 +169,7 @@ def cmd_enumerate(group: str, char: int) -> Report:
 
 
 def cmd_group_audit(name: str) -> Report:
-    from . import classical, permgroup
+    from . import permgroup
     if name not in EXPECTED:
         raise UsageError(f"unknown group {name!r} (choose alt7 or m11)")
     with _generator_file(name) as path:
@@ -182,29 +179,24 @@ def cmd_group_audit(name: str) -> Report:
     report = Report(command=["group-audit", name], input_digest=_digest(name, text))
     checks = []
 
-    expected_order, expected_orders = EXPECTED[name]
+    expected_order, expected_orders, by_prime = EXPECTED[name]
     checks.append(("order by stabilizer chain", group.order(), expected_order))
     checks.append(("simplicity via normal closures", group.is_simple(), True))
     checks.append(("element order set", sorted(group.element_order_set()), expected_orders))
 
-    wild = classical.SPORADIC_WILD_PRIMES[name.upper()]
-    syl_expect = {"alt7": {3: (9, 36), 5: (5, 20), 7: (7, 21)},
-                  "m11": {3: (9, 144), 5: (5, 20), 11: (11, 55)}}[name]
-    for p in wild:
+    for p, (exp_syl, exp_norm, _) in by_prime.items():
         syl = group.sylow_subgroup(p)
         count = group.conjugacy_class_size_of_subgroup(syl)
-        exp_syl, exp_norm = syl_expect[p]
         checks.append((f"sylow-{p} order", syl.order(), exp_syl))
         checks.append((f"sylow-{p} elementary abelian", syl.is_elementary_abelian(p), True))
         checks.append((f"sylow-{p} normalizer order", group.order() // count, exp_norm))
         checks.append((f"number of sylow-{p} subgroups", count, expected_order // exp_norm))
-    solv_expect = {"alt7": {3: 36, 5: 20, 7: 21}, "m11": {3: 72, 5: 20, 11: 55}}[name]
     values = {}
-    for p in wild:
+    for p, (_, _, exp_solv) in by_prime.items():
         values[p] = permgroup.max_solvable_with_cyclic_complement(group, p)
-        checks.append((f"max solvable with cyclic complement, p={p}", values[p], solv_expect[p]))
+        checks.append((f"max solvable with cyclic complement, p={p}", values[p], exp_solv))
     checks.append(("max solvable with cyclic complement over wild primes",
-                   max(values.values()), max(solv_expect.values())))
+                   max(values.values()), max(s for _, _, s in by_prime.values())))
     if name == "alt7":
         stab = group.point_stabilizer(0)
         closure = permgroup.closure_elements(list(stab.generators), group.degree)

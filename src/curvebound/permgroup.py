@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 import re
-from functools import lru_cache
 from math import gcd
 
 from .arith import factorize
@@ -216,7 +215,9 @@ class PermGroup:
         return PermGroup(gens, self.degree)
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a point (0-based)."""
+        """Stabilizer of a point (0-based); for the base point, the chain's next level."""
+        if point == self._base_point:
+            return self._stabilizer
         return PermGroup(self._orbit(*self._root(point)), self.degree)
 
     # -- derived structure ---------------------------------------------------
@@ -437,12 +438,7 @@ def generator_file_path(name: str) -> str:
 
 
 def load_group(name: str) -> PermGroup:
-    """The group of a generator file (``alt7`` or ``m11``), cached per resolved
-    path: a process that points ``CURVEBOUND_DATA`` elsewhere reads that file."""
-    return _group_at(generator_file_path(name))
-
-
-@lru_cache(maxsize=None)
-def _group_at(path: str) -> PermGroup:
-    with open(path, encoding="ascii") as handle:
+    """The group of a generator file (``alt7`` or ``m11``), built afresh on each call
+    from the file ``generator_file_path`` names, so ``CURVEBOUND_DATA`` is read every time."""
+    with open(generator_file_path(name), encoding="ascii") as handle:
         return PermGroup(*parse_generator_file(handle.read()))

@@ -1,13 +1,13 @@
 import pytest
 
-from curvebound import permgroup
+from oracles import shipped_group
 
 
 @pytest.fixture(scope="session")
 def alt7():
-    return permgroup.load_group("alt7")
+    return shipped_group("alt7")
 
 
 @pytest.fixture(scope="session")
 def m11():
-    return permgroup.load_group("m11")
+    return shipped_group("m11")

@@ -6,17 +6,19 @@ product and a left-fold power, field tables by polynomial arithmetic, point
 counts over every x, a p-rank read off point counts and one by squaring the
 Cartier matrix, the Cartier matrix by two rules), properties read off a
 stabilizer chain, the Hurwitz genus in exact rationals, and the exhaustive
-branch-data solver.
+branch-data solver; and the shipped groups built once per test session.
 """
 
 from array import array
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb, gcd
 from operator import mul
 
-from curvebound import bounds
+from curvebound import bounds, permgroup
 from curvebound.arith import factorize
+from curvebound.classical import group_facts
 from curvebound.fppoly import FpPoly, field_tables
 from curvebound.prank import (
     ZETA_POINT_CAP,
@@ -222,6 +224,17 @@ def cartier_matrix_two_formulas(model) -> CartierMatrix:
 
 
 # -- permutation groups ----------------------------------------------------------
+
+
+@cache
+def shipped_group(name: str):
+    """The group of a shipped generator file (``alt7`` or ``m11``), built once per session."""
+    return permgroup.load_group(name)
+
+
+def shipped_facts(name: str, p: int):
+    """``group_facts`` of a shipped group named as in the tests' tables (``ALT7``, ``M11``)."""
+    return group_facts(shipped_group(name.lower()), p)
 
 
 def base(group):

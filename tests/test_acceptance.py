@@ -15,13 +15,13 @@ from oracles import (
     p_rank,
     scale_x,
     shift_x,
+    shipped_facts,
     sign_at_infinity,
     solve_branch_data,
     zeta_prank_oracle,
 )
 
 from curvebound import bounds, permgroup
-from curvebound.classical import sporadic_facts
 from curvebound.fppoly import FpPoly, squarefree_decomposition
 from curvebound.prank import CurveModel, genus_of_model, kummer_genus, parse_curve
 from curvebound.ramification import (
@@ -36,7 +36,7 @@ F = Fraction
 
 
 def _even_rows(name, char):
-    return [c for c in enumerate_case_iii(sporadic_facts(name, char)) if c.passes_parity]
+    return [c for c in enumerate_case_iii(shipped_facts(name, char)) if c.passes_parity]
 
 
 def test_criterion_1_alt7_enumeration():
@@ -91,10 +91,10 @@ def test_criterion_2_m11_enumeration():
 
 def test_criterion_3_case_coefficients():
     values = {
-        ("ALT7", 3): F(*case_i_ii_coefficient(sporadic_facts("ALT7", 3))),
-        ("ALT7", 5): F(*case_i_ii_coefficient(sporadic_facts("ALT7", 5))),
-        ("ALT7", 7): F(*case_i_ii_coefficient(sporadic_facts("ALT7", 7))),
-        ("M11", 3): F(*case_i_ii_coefficient(sporadic_facts("M11", 3))),
+        ("ALT7", 3): F(*case_i_ii_coefficient(shipped_facts("ALT7", 3))),
+        ("ALT7", 5): F(*case_i_ii_coefficient(shipped_facts("ALT7", 5))),
+        ("ALT7", 7): F(*case_i_ii_coefficient(shipped_facts("ALT7", 7))),
+        ("M11", 3): F(*case_i_ii_coefficient(shipped_facts("M11", 3))),
     }
     assert values[("ALT7", 3)] == 12
     assert values[("ALT7", 5)] == F(40, 3)  # catalog scan; 12 is the p=3 value
@@ -226,7 +226,7 @@ def test_criterion_8_internal_consistency():
     # large genera have no external reference: both code paths must agree and
     # every candidate genus must come out integral
     for name, p, expected in (("ALT7", 7, 586), ("M11", 11, 2746)):
-        facts = sporadic_facts(name, p)
+        facts = shipped_facts(name, p)
         cands = [c for c in enumerate_case_iii(facts) if c.passes_parity and c.g == expected]
         assert len(cands) == 1
         cand = cands[0]

@@ -1,12 +1,15 @@
 import pytest
+from oracles import shipped_facts
 
 from curvebound.classical import (
     FamilySpec,
     GroupFacts,
     factor_prime_power,
     family_order,
-    sporadic_facts,
+    group_facts,
 )
+from curvebound.perm import Permutation
+from curvebound.permgroup import PermGroup
 
 
 def test_prime_power_recognition():
@@ -52,31 +55,31 @@ def test_congruence_validation():
 
 
 def test_sporadic_facts_alt7():
-    f7 = sporadic_facts("ALT7", 7)
+    f7 = shipped_facts("ALT7", 7)
     assert f7.wild_catalog == ((7, 1), (7, 3))
     assert sorted(q * e for q, e in f7.wild_catalog) == [7, 21]
     assert f7.tame_catalog == (2, 3, 4, 5, 6)
 
-    f3 = sporadic_facts("ALT7", 3)
+    f3 = shipped_facts("ALT7", 3)
     assert sorted(q * e for q, e in f3.wild_catalog) == [3, 6, 9, 18, 36]
     assert 72 not in {q * e for q, e in f3.wild_catalog}
     assert f3.tame_catalog == (2, 4, 5, 7)
 
-    f5 = sporadic_facts("ALT7", 5)
+    f5 = shipped_facts("ALT7", 5)
     assert sorted(q * e for q, e in f5.wild_catalog) == [5, 10, 20]
 
 
 def test_sporadic_facts_m11():
-    f3 = sporadic_facts("M11", 3)
+    f3 = shipped_facts("M11", 3)
     assert f3.wild_catalog == ((3, 1), (3, 2), (9, 1), (9, 2), (9, 4), (9, 8))
     assert sorted(q * e for q, e in f3.wild_catalog) == [3, 6, 9, 18, 36, 72]
     assert f3.tame_catalog == (2, 4, 5, 8, 11)
 
-    f11 = sporadic_facts("M11", 11)
+    f11 = shipped_facts("M11", 11)
     assert f11.wild_catalog == ((11, 1), (11, 5))
     assert f11.tame_catalog == (2, 3, 4, 5, 6, 8)
 
-    f5 = sporadic_facts("M11", 5)
+    f5 = shipped_facts("M11", 5)
     assert sorted(q * e for q, e in f5.wild_catalog) == [5, 10, 20]
     assert f5.tame_catalog == (2, 3, 4, 6, 8, 11)
 
@@ -84,7 +87,7 @@ def test_sporadic_facts_m11():
 def test_sporadic_facts_invariants():
     for name, primes in (("ALT7", (3, 5, 7)), ("M11", (3, 5, 11))):
         for p in primes:
-            facts = sporadic_facts(name, p)
+            facts = shipped_facts(name, p)
             for q1, e1 in facts.wild_catalog:
                 assert e1 <= q1 - 1
                 assert facts.order % (q1 * e1) == 0
@@ -93,19 +96,45 @@ def test_sporadic_facts_invariants():
 
 
 def test_sporadic_facts_recomputed_not_cached():
-    a = sporadic_facts("ALT7", 5)
-    b = sporadic_facts("ALT7", 5)
+    a = shipped_facts("ALT7", 5)
+    b = shipped_facts("ALT7", 5)
     assert a == b
     assert a is not b
 
 
 def test_sporadic_facts_rejects_bad_pairs():
     with pytest.raises(ValueError):
-        sporadic_facts("ALT7", 11)
+        shipped_facts("ALT7", 11)
     with pytest.raises(ValueError):
-        sporadic_facts("M11", 7)
-    with pytest.raises(ValueError):
-        sporadic_facts("SUZUKI", 5)
+        shipped_facts("M11", 7)
+
+
+def _group(cycles, degree):
+    return PermGroup([Permutation.parse(c, degree) for c in cycles])
+
+
+# Catalogs derived by hand from the normalizers of the Sylow subgroups, which are of prime order here:
+# in A5, N(C3) = S3 and N(C5) = D10; in PSL(2,7), N(C3) = S3 and N(C7) = C7 ⋊ C3.
+OTHER_GROUPS = [
+    pytest.param(["(1,2,3)", "(3,4,5)"], 5, 60, 3, ((3, 1), (3, 2)), (2, 5), id="A5-3"),
+    pytest.param(["(1,2,3)", "(3,4,5)"], 5, 60, 5, ((5, 1), (5, 2)), (2, 3), id="A5-5"),
+    pytest.param(["(1,2,3,4,5,6,7)", "(2,3)(4,7)"], 7, 168, 3, ((3, 1), (3, 2)), (2, 4, 7), id="PSL27-3"),
+    pytest.param(["(1,2,3,4,5,6,7)", "(2,3)(4,7)"], 7, 168, 7, ((7, 1), (7, 3)), (2, 3, 4), id="PSL27-7"),
+]
+
+
+@pytest.mark.parametrize("cycles, degree, order, p, wild, tame", OTHER_GROUPS)
+def test_group_facts_of_groups_other_than_the_candidates(cycles, degree, order, p, wild, tame):
+    facts = group_facts(_group(cycles, degree), p)
+    assert (facts.p, facts.order) == (p, order)
+    assert facts.wild_catalog == wild
+    assert facts.tame_catalog == tame
+
+
+@pytest.mark.parametrize("p", [2, 4, 9, 11, 13])
+def test_group_facts_refuses_p_not_an_odd_prime_divisor(alt7, p):
+    with pytest.raises(ValueError, match=f"^{p} is not an odd prime dividing the group order 2520$"):
+        group_facts(alt7, p)
 
 
 def test_group_facts_validation():

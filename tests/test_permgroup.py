@@ -2,23 +2,21 @@
 
 import math
 import random
-import shutil
 import time
 
 import pytest
 from oracles import base, is_solvable, strong_generators
 
-from curvebound.classical import sporadic_facts
+from curvebound.classical import group_facts
 from curvebound.cli import cmd_group_audit
 from curvebound.fppoly import factorize
 from curvebound.perm import DegreeMismatchError, Permutation
 from curvebound.permgroup import (
-    DATA_ENV_VAR,
     ELEMENT_SCAN_CAP,
     PermGroup,
     SizeCapExceededError,
     closure_elements,
-    generator_file_path,
+    load_group,
     max_solvable_with_cyclic_complement,
     p_subgroup_class_reps,
     parse_generator_file,
@@ -238,18 +236,15 @@ def test_normalizer_of_a_conjugate_does_not_depend_on_the_cache(name, request):
         assert set(conj_first.elements()) == {n.conjugate(g) for n in sub_first.elements()}
 
 
-def test_each_conjugation_orbit_is_computed_once(tmp_path, monkeypatch):
+def test_each_conjugation_orbit_is_computed_once(monkeypatch):
     """group-audit m11 meets 4 orbits of subgroups and the M11 facts at p = 3 meet 2."""
     calls = []
     conjugates_of = PermGroup._conjugates_of
     monkeypatch.setattr(PermGroup, "_conjugates_of", lambda self, sub: calls.append(sub) or conjugates_of(self, sub))
     cmd_group_audit("m11")
     assert len(calls) == 4
-    # a data directory of its own, so the loader builds a group with an empty cache
-    shutil.copy(generator_file_path("m11"), tmp_path)
-    monkeypatch.setenv(DATA_ENV_VAR, str(tmp_path))
     calls.clear()
-    sporadic_facts("M11", 3)
+    group_facts(load_group("m11"), 3)
     assert len(calls) == 2
 
 
@@ -455,6 +450,29 @@ def test_later_generator_moving_a_point_below_the_base_point():
     rng = random.Random(6)
     check_chain_against_closure(grown, closure, [Permutation(rng.sample(range(6), 6)) for _ in range(200)])
     assert grown.elements() == PermGroup(sequence, 6).elements()
+
+
+def check_point_stabilizers(group):
+    """The base point's stabilizer is the chain's next level; every other point's is built afresh."""
+    for point in range(group.degree):
+        stab = group.point_stabilizer(point)
+        fresh = PermGroup(group._orbit(*group._root(point)), group.degree)
+        assert stab.order() == fresh.order()
+        assert stab.elements() == fresh.elements()
+        assert (stab is group._stabilizer) == (point == group._base_point)
+        assert (stab is group.point_stabilizer(point)) == (point == group._base_point)
+
+
+@pytest.mark.parametrize("gens", RANDOM_SETS)
+def test_point_stabilizers_random_groups(gens):
+    check_point_stabilizers(PermGroup(gens, gens[0].degree))
+
+
+@pytest.mark.parametrize("name", ["alt7", "m11"])
+def test_point_stabilizers_sporadic(name, request):
+    group = request.getfixturevalue(name)
+    assert group.point_stabilizer(group._base_point) is group._stabilizer
+    check_point_stabilizers(group)
 
 
 @pytest.mark.parametrize("gens", RANDOM_SETS)

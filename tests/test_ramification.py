@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import UnboundedInstanceError, hurwitz_genus_reference, solve_branch_data
+from oracles import UnboundedInstanceError, hurwitz_genus_reference, shipped_facts, solve_branch_data
 
-from curvebound.classical import GroupFacts, sporadic_facts
+from curvebound.classical import GroupFacts
 from curvebound.prank import kummer_genus
 from curvebound.ramification import (
     case_i_ii_coefficient,
@@ -94,7 +94,7 @@ def test_hurwitz_genus_matches_the_rational_formula():
 
 def test_hurwitz_integrality_crosscheck():
     # candidate constructor and direct evaluation must agree on 2g - 2
-    facts = sporadic_facts("M11", 3)
+    facts = shipped_facts("M11", 3)
     for cand in enumerate_case_iii(facts):
         g = hurwitz_genus(facts.order, 0, ((cand.e1, cand.d1, 1), (cand.e2, cand.d2, 1)))
         assert g == cand.g
@@ -165,7 +165,7 @@ EXPECTED_SURVIVORS = {
 
 @pytest.mark.parametrize("name,p", sorted(EXPECTED_EVEN_ROWS))
 def test_enumerate_even_rows(name, p):
-    facts = sporadic_facts(name, p)
+    facts = shipped_facts(name, p)
     candidates = enumerate_case_iii(facts)
     even = {(c.e1, c.e2): c.g - 1 for c in candidates if c.passes_parity}
     assert even == EXPECTED_EVEN_ROWS[(name, p)]
@@ -174,7 +174,7 @@ def test_enumerate_even_rows(name, p):
 
 
 def test_enumerate_alt7_char3_lemma_flags():
-    facts = sporadic_facts("ALT7", 3)
+    facts = shipped_facts("ALT7", 3)
     candidates = enumerate_case_iii(facts)
     kept = {
         (c.e1, c.e2): c.g
@@ -187,9 +187,9 @@ def test_enumerate_alt7_char3_lemma_flags():
 
 
 def test_enumerate_deterministic(alt7):
-    facts = sporadic_facts("ALT7", 5)
+    facts = shipped_facts("ALT7", 5)
     first = enumerate_case_iii(facts)
-    second = enumerate_case_iii(sporadic_facts("ALT7", 5))
+    second = enumerate_case_iii(shipped_facts("ALT7", 5))
     assert first == second
     keys = [(c.e1, c.e2) for c in first]
     assert keys == sorted(keys)
@@ -197,13 +197,13 @@ def test_enumerate_deterministic(alt7):
 
 def test_all_candidates_have_integral_genus_at_least_two():
     for name, p in EXPECTED_EVEN_ROWS:
-        for cand in enumerate_case_iii(sporadic_facts(name, p)):
+        for cand in enumerate_case_iii(shipped_facts(name, p)):
             assert isinstance(cand.g, int)
             assert cand.g >= 2
 
 
 def _coefficient(name, p):
-    return Fraction(*case_i_ii_coefficient(sporadic_facts(name, p)))
+    return Fraction(*case_i_ii_coefficient(shipped_facts(name, p)))
 
 
 def test_case_coefficients():
@@ -219,8 +219,8 @@ def test_case_coefficients():
 
 
 def test_coefficient_is_in_lowest_terms():
-    assert case_i_ii_coefficient(sporadic_facts("ALT7", 3)) == (12, 1)
-    assert case_i_ii_coefficient(sporadic_facts("M11", 3)) == (144, 7)
+    assert case_i_ii_coefficient(shipped_facts("ALT7", 3)) == (12, 1)
+    assert case_i_ii_coefficient(shipped_facts("M11", 3)) == (144, 7)
 
 
 def test_coefficient_single_entry():
