@@ -268,9 +268,8 @@ def cmd_prank(curve: str, p: int, oracle: bool = False) -> Report:
     report = Report(command=["prank", "--p", str(p), "--curve", curve]
                     + (["--oracle"] if oracle else []),
                     input_digest=_digest(curve, str(p)))
-    genus = prank.genus_of_model(model)
-    norm_genus = prank.normalization_genus(model)
-    report.add("model genus", "holds", genus=genus, normalization_genus=norm_genus,
+    genus = prank.normalization_genus(model)
+    report.add("model genus", "holds", genus=genus, normalization_genus=genus,
                m=model.m, p=p, f=repr(model.f))
     rank = None
     try:

@@ -217,7 +217,7 @@ def squarefree_decomposition(f: FpPoly):
     return tuple(sorted(out, key=lambda part: part[1]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def field_tables(p: int, k: int):
     """(log, zech) for GF(p^k), as arrays of 4-byte ints.
 
@@ -226,7 +226,8 @@ def field_tables(p: int, k: int):
     varying fastest, modulo which x has order n = p^k - 1; no reducible one
     passes, as its unit group is smaller.  For k > 1 a candidate with a root
     in GF(p), 0 included, is reducible and skipped; the others are tested for
-    x^n = 1 and x^(n/r) != 1, r each prime dividing n, on coefficient lists.
+    x^(n/r) != 1, r each prime dividing n, and then x^n = 1, on coefficient
+    lists.  The 16 most recently used fields are kept, 8 bytes per element.
     log[a] is the log of a to base x, log[0] = -1, and zech[i] = log(1 + x^i),
     -1 where 1 + x^i = 0.
 
@@ -246,8 +247,9 @@ def field_tables(p: int, k: int):
         if k > 1 and any(sum(c * a**j for j, c in enumerate(coeffs)) % p == 0 for a in range(p)):
             continue
         reduction = [(-c) % p for c in coeffs[:k]]
-        if _x_power(n, reduction, p, k) == one and all(
-            _x_power(e, reduction, p, k) != one for e in cofactors
+        # most rejected candidates fall at a cofactor, so x^n = 1 is tested last
+        if all(_x_power(e, reduction, p, k) != one for e in cofactors) and (
+            _x_power(n, reduction, p, k) == one
         ):
             break
     top, half = p ** (k - 1), p ** ((k - 1) // 2)

@@ -35,13 +35,13 @@ class UnsupportedModelError(ValueError):
 
 
 class CurveModel(Record):
-    """Superelliptic presentation y^m = f(x) over GF(p).
+    """Superelliptic presentation y^m = f(x) over GF(p) of a curve of genus >= 1.
 
     The cover must be irreducible: no prime divisor of m may divide every
     multiplicity in the factorization of f.  Repeated factors are allowed
     (they arise when a characteristic-zero model degenerates mod p); the
-    genus and Cartier data then refer to the presentation itself, see
-    ``genus_of_model``.
+    genus, Cartier data and point counts all refer to the smooth model, see
+    ``normalization_genus`` and ``reduced_model``.
     """
 
     __slots__ = ("m", "f", "p")
@@ -60,48 +60,45 @@ class CurveModel(Record):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "p", p)
-        if genus_of_model(self) < 1:
+        if normalization_genus(self) < 1:
             raise UnsupportedModelError("model has genus 0")
 
 
-def genus_of_model(model: CurveModel) -> int:
-    """Genus of the presented cover.
-
-    For m = 2 this is the arithmetic genus (deg f - 1)//2 of the standard
-    hyperelliptic completion, which equals the smooth genus exactly when f is
-    squarefree (the tame cover formula confirms it).  For m > 2 the tame
-    cyclic-cover formula on the branch multiplicities is used.
-    """
-    if model.m == 2:
-        return (model.f.degree - 1) // 2
-    return normalization_genus(model)
+def reduced_model(model: CurveModel) -> CurveModel:
+    """y^m = c prod a^(lam mod m) for f = c prod a^lam: the same curve, as
+    y -> y / prod a^(lam // m) is an isomorphism of function fields.  The
+    model itself when every lam is below m."""
+    parts = squarefree_decomposition(model.f)
+    if parts[-1][1] < model.m:  # parts are sorted by multiplicity
+        return model
+    reduced = FpPoly.constant(model.p, model.f.leading())
+    for a, lam in parts:
+        reduced = reduced * a ** (lam % model.m)
+    return CurveModel(model.m, reduced, model.p)
 
 
 def normalization_genus(model: CurveModel) -> int:
     """Genus of the smooth model, by the tame cover formula; the quantity the
     point-count oracle sees."""
-    exponents = []
-    for poly, mult in squarefree_decomposition(model.f):
-        exponents.extend([mult] * poly.degree)
+    exponents = [mult for poly, mult in squarefree_decomposition(model.f) for _ in range(poly.degree)]
     return kummer_genus(model.m, exponents, model.p)
 
 
 def kummer_genus(m: int, exponents, p: int) -> int:
     """Genus of y^m = prod (x - a_i)^{lambda_i} with distinct a_i, p not dividing m.
 
-    All branch indices are m/gcd(m, lambda); the place at infinity carries the
-    exponent -sum(lambda).  Tame throughout, so d = e - 1 everywhere.
+    Over a root of multiplicity lambda lie gcd(m, lambda) places, each with
+    index e = m/gcd(m, lambda); the place at infinity carries the exponent
+    -sum(lambda).  Tame throughout, so d = e - 1, and each a_i and infinity
+    add m - gcd(m, lambda) to 2g - 2 + 2m.
     """
     if m <= 1:
         raise ValueError("cover degree must be at least 2")
     if p > 1 and m % p == 0:
         raise ValueError(f"cover degree {m} divisible by the characteristic {p}")
-    exponents = [lam for lam in exponents if lam % m != 0]
-    total = -2 * m
-    branch = list(exponents) + [-sum(exponents)]
-    for lam in branch:
-        e = m // gcd(m, lam % m) if lam % m else 1
-        total += m - m // e
+    total = m - gcd(m, sum(exponents)) - 2 * m
+    for lam in exponents:
+        total += m - gcd(m, lam)
     if total % 2 != 0:
         raise ValueError("non-integral genus: inconsistent branch data")
     g = total // 2 + 1
@@ -113,36 +110,33 @@ def kummer_genus(m: int, exponents, p: int) -> int:
 def differential_basis(model: CurveModel):
     """Monomial basis (a, b) for x^(a-1) dx / y^b, validated against the genus.
 
-    Regularity is checked place by place from the branch data.  When the
-    monomial family does not span the regular differentials (possible for
-    non-squarefree f), the model is refused rather than approximated.
+    Regularity gives each stratum y^b an interval of a.  The order at
+    infinity, b deg / gcd(m, deg) - a e_inf - 1, bounds a from above; over a
+    root x = 0 of index e, a e - 1 - b ord_y bounds it from below; over any
+    other root, e - 1 - b ord_y admits the whole stratum or none of it.  When
+    the monomials do not span the regular differentials (possible when a
+    multiplicity shares a factor with m), the model is refused rather than
+    approximated.
     """
-    m, f = model.m, model.f
-    deg = f.degree
+    m, deg = model.m, model.f.degree
     e_inf = m // gcd(m, deg)
-    g = normalization_genus(model)
-    branch = squarefree_decomposition(model.f)
+    branch = [(poly.coeffs == (0, 1), m // gcd(m, lam), lam // gcd(m, lam))
+              for poly, lam in squarefree_decomposition(model.f)]
     basis = []
     for b in range(1, m):
-        for a in range(1, deg + 1):
-            ok = True
-            for poly, lam in branch:
-                e = m // gcd(m, lam)
-                ord_y = lam // gcd(m, lam)
-                ord_x = e if poly.coeffs == (0, 1) else 0
-                if (a - 1) * ord_x + (e - 1) - b * ord_y < 0:
-                    ok = False
-                    break
-            if ok:
-                if -(a - 1) * e_inf - (e_inf + 1) + b * deg * e_inf // m < 0:
-                    ok = False
-            if ok:
-                basis.append((a, b))
+        low, top = 1, (b * deg // gcd(m, deg) - 1) // e_inf
+        for at_zero, e, ord_y in branch:
+            if at_zero:
+                low = max(low, (b * ord_y + e) // e)
+            elif e - 1 < b * ord_y:
+                top = 0
+        basis.extend((a, b) for a in range(low, top + 1))
+    g = normalization_genus(model)
     if len(basis) != g:
         raise UnsupportedModelError(
             f"monomial differentials span {len(basis)} of {g} dimensions; model not supported"
         )
-    return tuple(sorted(basis, key=lambda ab: (ab[1], ab[0])))
+    return tuple(basis)
 
 
 class CartierMatrix(Record):
@@ -162,20 +156,18 @@ class CartierMatrix(Record):
 
 
 def cartier_matrix(model: CurveModel) -> CartierMatrix:
-    """Cartier action: the (a,b) column lists coefficients over the basis.
+    """Cartier action on the reduced model: the (a,b) column lists coefficients
+    over the basis.
 
     The basis differential x^(a-1) dx / y^b maps into the y^b' stratum,
     b' = b/p (mod m), and its coefficient on x^(a'-1) dx / y^b' is the
     coefficient of x^(a'p - a) in h_b = f^((b'p - b)/m); each h_b is computed
-    once.  For m = 2 this is the classical rule on the presentation basis
-    x^(a-1) dx / y, 1 <= a <= (deg f - 1)//2, with h = f^((p-1)/2); for
-    m > 2 the monomial basis is validated against the genus first.
+    once.  For m = 2 on squarefree f this is the classical rule on the basis
+    x^(a-1) dx / y, 1 <= a <= (deg f - 1)//2, with h = f^((p-1)/2).
     """
+    model = reduced_model(model)
     m, p, f = model.m, model.p, model.f
-    if m == 2:
-        basis = tuple((a, 1) for a in range(1, genus_of_model(model) + 1))
-    else:
-        basis = differential_basis(model)
+    basis = differential_basis(model)
     strata = {}
     for i, (a, b) in enumerate(basis):
         strata.setdefault(b, []).append((i, a))

@@ -19,16 +19,17 @@ from operator import mul
 from curvebound import bounds, permgroup
 from curvebound.arith import factorize
 from curvebound.classical import group_facts
-from curvebound.fppoly import FpPoly, field_tables
+from curvebound.fppoly import FpPoly, field_tables, squarefree_decomposition
 from curvebound.prank import (
     ZETA_POINT_CAP,
     CartierMatrix,
+    CurveModel,
     UnsupportedModelError,
     _evaluate_log,
     cartier_matrix,
     differential_basis,
-    genus_of_model,
     l_polynomial_p_rank,
+    normalization_genus,
     stable_rank,
     zeta_l_polynomial,
 )
@@ -179,6 +180,27 @@ def rank_mod_p(mat, p):
     return rank
 
 
+def regular_monomials(model):
+    """The (a, b), 1 <= a <= deg f and 0 < b < m, for which x^(a-1) dx / y^b has
+    no pole: its order is checked at the places over every root of f and at
+    infinity, one a at a time; a second route to ``differential_basis``."""
+    m, deg = model.m, model.f.degree
+    e_inf = m // gcd(m, deg)
+    found = []
+    for b in range(1, m):
+        for a in range(1, deg + 1):
+            orders = [-(a - 1) * e_inf - (e_inf + 1) + b * deg * e_inf // m]
+            for poly, lam in squarefree_decomposition(model.f):
+                e, ord_y = m // gcd(m, lam), lam // gcd(m, lam)
+                if poly.coeffs[0] == 0:  # a place over x = 0, where x vanishes to order e
+                    orders.append((a - 1) * e + (e - 1) - b * ord_y)
+                if poly.coeffs != (0, 1):  # a place over a root other than 0
+                    orders.append((e - 1) - b * ord_y)
+            if min(orders) >= 0:
+                found.append((a, b))
+    return tuple(found)
+
+
 def stable_rank_by_squaring(matrix: CartierMatrix) -> int:
     """``stable_rank`` as the rank of M^k with g <= k < 2g: by Fitting's lemma
     rank(M^k) is the same for every k >= g, so M is squared
@@ -200,15 +222,24 @@ def zeta_prank_oracle(model) -> int:
 
 
 def cartier_matrix_two_formulas(model) -> CartierMatrix:
-    """The Cartier matrix by two separate rules, one power of f per column.
+    """The Cartier matrix by two separate rules, one power of f per column, on
+    the model y^m = f / s^m, where s = prod a^(lam // m) over f = c prod a^lam.
 
-    For m = 2 the (i,j) entry is the coefficient c_(i*p - j) of f^((p-1)/2)
-    on the presentation basis.  For m > 2 the column of x^(a-1) dx / y^b is
-    read off x^(a-1) f^((b'p-b)/m), b'p = b (mod m), with b' found by search.
+    For m = 2 the (i,j) entry is the coefficient c_(i*p - j) of f^((p-1)/2),
+    1 <= i, j <= g for the smooth genus g.  For m > 2 the column of
+    x^(a-1) dx / y^b is read off x^(a-1) f^((b'p-b)/m), b'p = b (mod m), with
+    b' found by search.
     """
-    m, p, f = model.m, model.p, model.f
+    m, p = model.m, model.p
+    s = FpPoly.constant(p, 1)
+    for a, lam in squarefree_decomposition(model.f):
+        s = s * a ** (lam // m)
+    f, rest = model.f.divmod(s ** m)
+    assert rest.is_zero()
+    if f != model.f:
+        model = CurveModel(m, f, p)
     if m == 2:
-        g = genus_of_model(model)
+        g = normalization_genus(model)
         h = f ** ((p - 1) // 2)
         rows = tuple(tuple(h.coeff(i * p - j) for j in range(1, g + 1)) for i in range(1, g + 1))
         return CartierMatrix(p=p, entries=rows, basis=tuple((j, 1) for j in range(1, g + 1)))

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
 from oracles import (
     chain_passes,
     compare_at,
@@ -23,7 +24,7 @@ from oracles import (
 
 from curvebound import bounds, permgroup
 from curvebound.fppoly import FpPoly, squarefree_decomposition
-from curvebound.prank import CurveModel, genus_of_model, kummer_genus, parse_curve
+from curvebound.prank import CurveModel, UnsupportedModelError, kummer_genus, normalization_genus, parse_curve
 from curvebound.ramification import (
     case_i_ii_coefficient,
     deuring_shafarevich,
@@ -157,13 +158,19 @@ def test_criterion_5_bound_audit():
 def test_criterion_6_prank_reproduction():
     start = time.perf_counter()
 
-    named = [("y^2 = x^5 - x", 3, 2), ("y^2 = x^5 - 1", 5, 0), ("y^2 = x^5 - x", 5, 0)]
+    # y^2 = x^5 + 3x + 1 over GF(5) has L(t) = 1 + 25t^4; y^2 = x^2 (x^5 + 3x + 1) is
+    # its nodal presentation, read on the same smooth model
+    named = [("y^2 = x^5 - x", 3, 2), ("y^2 = x^5 + 3*x + 1", 5, 0), ("y^2 = x^5 - x", 5, 0),
+             ("y^2 = x^7 + 3*x^3 + x^2", 5, 0)]
     for expr, p, gamma in named:
         m = parse_curve(expr, p)
         assert p_rank(m) == gamma
         assert zeta_prank_oracle(m) == gamma
     m1 = parse_curve("y^2 = x^5 - x", 3)
-    assert genus_of_model(m1) == 2 and p_rank(m1) == genus_of_model(m1)
+    assert normalization_genus(m1) == 2 and p_rank(m1) == normalization_genus(m1)
+    assert normalization_genus(parse_curve("y^2 = x^7 + 3*x^3 + x^2", 5)) == 2
+    with pytest.raises(UnsupportedModelError, match="genus 0"):
+        parse_curve("y^2 = x^5 - 1", 5)  # (x - 1)^5: a rational curve
 
     rng = random.Random(2024)
     for p in (3, 5):

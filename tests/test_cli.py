@@ -228,7 +228,7 @@ def test_prank_command(capsys):
 
 
 def test_prank_gamma_zero(capsys):
-    code, out, _ = run(["prank", "--p", "5", "--curve", "y^2 = x^5 - 1", "--format", "json"], capsys)
+    code, out, _ = run(["prank", "--p", "5", "--curve", "y^2 = x^5 + 3*x + 1", "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
     by_anchor = {row["anchor"]: row for row in doc["rows"]}
@@ -236,11 +236,27 @@ def test_prank_gamma_zero(capsys):
     assert by_anchor["cartier operator"]["ordinary"] is False
 
 
+def test_prank_reads_a_nodal_model_on_its_smooth_model(capsys):
+    """f = x^2 (x^5 + 3x + 1): the presentation has arithmetic genus 3, the curve genus 2."""
+    code, out, _ = run(["prank", "--p", "5", "--curve", "y^2 = x^7 + 3*x^3 + x^2", "--oracle",
+                        "--format", "json"], capsys)
+    assert code == 0
+    by_anchor = {row["anchor"]: row for row in json.loads(out)["rows"]}
+    assert by_anchor["model genus"]["genus"] == by_anchor["model genus"]["normalization_genus"] == 2
+    assert by_anchor["model genus"]["f"] == "x^7 + 3x^3 + x^2"
+    assert by_anchor["cartier operator"]["stable_rank"] == 0
+    assert by_anchor["zeta point-count oracle"]["verdict"] == "agrees"
+    assert by_anchor["zeta point-count oracle"]["l_polynomial"] == [1, 0, 0, 0, 25]
+
+
 def test_prank_rejects_degenerate(capsys):
     code, out, err = run(["prank", "--p", "5", "--curve", "y^2 = x^2"], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    # x^5 - 1 = (x - 1)^5 over GF(5): a rational curve
+    code, out, err = run(["prank", "--p", "5", "--curve", "y^2 = x^5 - 1"], capsys)
+    assert (code, out, err) == (2, "", "error: model has genus 0\n")
 
 
 @pytest.mark.parametrize("p, curve", [

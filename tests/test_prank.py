@@ -17,14 +17,14 @@ from oracles import (
     pow_foldl,
     pow_mod,
     rank_mod_p,
+    regular_monomials,
     scale_x,
     shift_x,
     stable_rank_by_squaring,
     zeta_prank_oracle,
 )
 
-from curvebound import fppoly
-from curvebound.arith import is_prime
+from curvebound.arith import factorize, is_prime
 from curvebound.fppoly import FpPoly, field_tables, squarefree_decomposition
 from curvebound.prank import (
     ZETA_POINT_CAP,
@@ -35,9 +35,9 @@ from curvebound.prank import (
     charpoly_mod_p,
     count_points,
     differential_basis,
-    genus_of_model,
     normalization_genus,
     parse_curve,
+    reduced_model,
     stable_rank,
     zeta_l_polynomial,
 )
@@ -45,6 +45,12 @@ from curvebound.prank import (
 
 def model(expr, p):
     return parse_curve(expr, p)
+
+
+# y^2 = x^7 + 3x^3 + x^2 = x^2 (x^5 + 3x + 1) over GF(5) has a node at x = 0; its
+# smooth model y^2 = x^5 + 3x + 1 has genus 2, L(t) = 1 + 25t^4 and p-rank 0
+NODAL = "y^2 = x^7 + 3*x^3 + x^2"
+GAMMA_ZERO = "y^2 = x^5 + 3*x + 1"
 
 
 # -- polynomial layer ---------------------------------------------------------
@@ -74,6 +80,20 @@ def test_modular_power_is_the_reduced_power(p, f, m, e):
     f, m = FpPoly(p, f), FpPoly(p, m)
     assume(not m.is_zero())
     assert pow_mod(f, e, m) == (f**e) % m
+
+
+def test_is_prime_is_trial_division_below_10_5():
+    assert [n for n in range(10**5) if is_prime.__wrapped__(n)] == [
+        n for n in range(10**5) if factorize(n) == ((n, 1),)]
+
+
+def test_is_prime_refuses_strong_pseudoprimes():
+    """3825123056546413051 passes Miller-Rabin to every prime base up to 31, and
+    318665857834031151167461 to every one up to 37; base 41 catches both."""
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+    assert not is_prime((2**61 - 1) * (2**19 - 1))
 
 
 PACKED_PRIMES = (2, 3, 5, 7, 31, 61, 211)
@@ -112,12 +132,10 @@ def test_packed_powers_match_the_left_fold():
             assert f**k == pow_foldl(f, k), (p, f.coeffs, k)
 
 
-def test_packed_slots_grow_past_64_bits(monkeypatch):
+def test_packed_slots_grow_past_64_bits():
     """p = 2^64 - 59, the largest prime below 2^64: one coefficient product
-    needs 128 bits.  The constructor's trial division cannot reach a prime
-    this size, so it is told this one is prime."""
+    needs 128 bits."""
     big = 2**64 - 59
-    monkeypatch.setattr(fppoly, "is_prime", lambda n: n == big or is_prime(n))
     rng = random.Random(big)
     top = FpPoly(big, [big - 1] * 17)
     assert top * top == poly_mul_reference(top, top)
@@ -194,6 +212,13 @@ def test_field_tables_describe_the_field(p, k):
     assert field_tables(p, k) is field_tables(p, k)
 
 
+def test_field_tables_cache_is_bounded():
+    for p, k in [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in (1, 2, 3, 4) if p**k <= 200]:
+        field_tables(p, k)
+    info = field_tables.cache_info()
+    assert info.maxsize == 16 and info.currsize <= info.maxsize
+
+
 SMALL_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
                 for k in range(1, 15) if p**k <= 2 * 10**4]
 
@@ -224,21 +249,22 @@ def test_field_tables_peak_memory_is_the_two_arrays(p, k):
 
 
 def test_genus_of_models():
-    assert genus_of_model(model("y^2 = x^5 - x", 3)) == 2
-    assert genus_of_model(model("y^2 = x^3 + 1", 5)) == 1
+    assert normalization_genus(model("y^2 = x^5 - x", 3)) == 2
+    assert normalization_genus(model("y^2 = x^3 + 1", 5)) == 1
     f = FpPoly(5, (0, 1)) * FpPoly(5, (-1, 1)) ** 2 * FpPoly(5, (-2, 1)) ** 2
-    assert genus_of_model(CurveModel(4, f, 5)) == 2
-    # degenerate quintic keeps the presentation genus 2, normalization drops to 0
-    deg = model("y^2 = x^5 - 1", 5)
-    assert genus_of_model(deg) == 2
-    assert normalization_genus(deg) == 0
+    assert normalization_genus(CurveModel(4, f, 5)) == 2
+    # the node drops the presentation's arithmetic genus 3 to the smooth genus 2
+    assert normalization_genus(model(NODAL, 5)) == 2
+    # x^5 - 1 = (x - 1)^5 over GF(5): a rational curve, refused
+    with pytest.raises(UnsupportedModelError, match="genus 0"):
+        model("y^2 = x^5 - 1", 5)
 
 
 def test_degree_13_model_over_gf11():
     # trial-division factoring needed about half a minute for this model
     f = "4*x^13 + 10*x^12 + 4*x^11 + 6*x^10 + 5*x^9 + 2*x^8 + 9*x^7 + 8*x^5 + 6*x^4 + 7*x^3 + 2*x^2 + 5"
     m = model("y^2 = " + f, 11)
-    assert genus_of_model(m) == normalization_genus(m) == 6
+    assert normalization_genus(m) == 6
     assert p_rank(m) == 6
 
 
@@ -267,7 +293,8 @@ def test_parse_curve_errors():
 
 def test_cartier_matrix_named_values():
     assert cartier_matrix(model("y^2 = x^5 - x", 3)).entries == ((0, 2), (1, 0))
-    assert cartier_matrix(model("y^2 = x^5 - 1", 5)).entries == ((0, 0), (0, 0))
+    assert cartier_matrix(model(GAMMA_ZERO, 5)).entries == ((0, 0), (0, 0))
+    assert cartier_matrix(model(NODAL, 5)) == cartier_matrix(model(GAMMA_ZERO, 5))
     assert cartier_matrix(model("y^2 = x^5 - x", 5)).entries == ((0, 0), (0, 0))
 
 
@@ -321,19 +348,46 @@ def test_cartier_matrix_matches_the_two_formula_reference(m):
 
 
 def test_cartier_matrix_matches_the_two_formula_reference_non_squarefree():
-    """y^2 = x (x-1)^2 (x-2)^2 (x-3) over GF(7): the presentation basis has the
-    arithmetic genus 2, though the smooth model has genus 0."""
-    f = FpPoly(7, (0, 1)) * FpPoly(7, (-1, 1)) ** 2 * FpPoly(7, (-2, 1)) ** 2 * FpPoly(7, (-3, 1))
-    curve = CurveModel(2, f, 7)
-    assert cartier_matrix(curve).size == 2
-    assert normalization_genus(curve) == 0
-    assert cartier_matrix(curve) == cartier_matrix_two_formulas(curve)
+    """Models with a multiplicity of m or more are read on the reduced model:
+    y^2 = x (x-1)^2 (x-2)^3 (x-3) (x-4) over GF(7) on y^2 = x (x-2) (x-3) (x-4),
+    of genus 1, and y^3 = x^4 (x-1) (x-2) over GF(7) on y^3 = x (x-1) (x-2)."""
+    x = [FpPoly(7, (-a, 1)) for a in range(5)]
+    nodal = CurveModel(2, x[0] * x[1] ** 2 * x[2] ** 3 * x[3] * x[4], 7)
+    assert reduced_model(nodal).f == x[0] * x[2] * x[3] * x[4]
+    assert cartier_matrix(nodal).size == normalization_genus(nodal) == 1
+    assert cartier_matrix(nodal) == cartier_matrix_two_formulas(nodal)
+    cubic = CurveModel(3, x[0] ** 4 * x[1] * x[2], 7)
+    assert reduced_model(cubic).f == x[0] * x[1] * x[2]
+    assert cartier_matrix(cubic).size == normalization_genus(cubic) == 1
+    assert cartier_matrix(cubic) == cartier_matrix_two_formulas(cubic)
+    rng = random.Random(7)
+    compared = 0
+    for p, m in ((3, 2), (5, 2), (7, 2), (5, 3), (7, 3), (5, 4), (7, 4)):
+        for _ in range(10):
+            f = _squarefree(rng, p, rng.randrange(1, 5))
+            f = f * _squarefree(rng, p, rng.randrange(1, 3)) ** rng.randrange(m, 2 * m + 1)
+            try:
+                curve = CurveModel(m, f, p)
+                matrix = cartier_matrix(curve)
+            except UnsupportedModelError:
+                continue
+            assert matrix == cartier_matrix_two_formulas(curve), (m, p, f.coeffs)
+            compared += 1
+    assert compared >= 40
+
+
+def test_reduced_model_of_a_squarefree_model_is_the_model(monkeypatch):
+    """No polynomial arithmetic and no second model when every multiplicity is below m."""
+    curve = model("y^4 = x^3 + x + 1", 5)
+    for name in ("__mul__", "__pow__"):
+        monkeypatch.setattr(FpPoly, name, None)
+    assert reduced_model(curve) is curve
 
 
 def test_stable_rank_values():
     nonsingular = cartier_matrix(model("y^2 = x^5 - x", 3))
     assert stable_rank(nonsingular) == 2
-    zero = cartier_matrix(model("y^2 = x^5 - 1", 5))
+    zero = cartier_matrix(model(GAMMA_ZERO, 5))
     assert stable_rank(zero) == 0
     from curvebound.prank import CartierMatrix
 
@@ -495,11 +549,11 @@ def test_cartier_p_rank_at_the_caps_corner():
 
 def test_p_rank_named_values():
     assert p_rank(model("y^2 = x^5 - x", 3)) == 2
-    assert p_rank(model("y^2 = x^5 - 1", 5)) == 0
+    assert p_rank(model(GAMMA_ZERO, 5)) == p_rank(model(NODAL, 5)) == 0
     assert p_rank(model("y^2 = x^5 - x", 5)) == 0
-    assert p_rank(m := model("y^2 = x^5 - x", 3)) == genus_of_model(m)
-    assert p_rank(m := model("y^2 = x^5 - 1", 5)) != genus_of_model(m)
-    assert p_rank(m := model("y^2 = x^5 - x", 5)) != genus_of_model(m)
+    assert p_rank(m := model("y^2 = x^5 - x", 3)) == normalization_genus(m)
+    assert p_rank(m := model(GAMMA_ZERO, 5)) != normalization_genus(m)
+    assert p_rank(m := model("y^2 = x^5 - x", 5)) != normalization_genus(m)
 
 
 def test_p_rank_between_zero_and_genus():
@@ -511,7 +565,7 @@ def test_p_rank_between_zero_and_genus():
             m = CurveModel(2, FpPoly(p, coeffs), p)
         except UnsupportedModelError:
             continue
-        assert 0 <= p_rank(m) <= genus_of_model(m)
+        assert 0 <= p_rank(m) <= normalization_genus(m)
 
 
 # -- zeta oracle -------------------------------------------------------------------
@@ -521,8 +575,8 @@ def test_point_counts_hand_checked():
     m = model("y^2 = x^5 - x", 3)
     assert count_points(m, 1) == 4  # three affine branch points plus one at infinity
     assert count_points(m, 2) == 6
-    deg = model("y^2 = x^5 - 1", 5)
-    assert count_points(deg, 1) == 6  # the smooth model is rational
+    # the node's two branches are two places of the smooth model
+    assert count_points(model(NODAL, 5), 1) == count_points(model(GAMMA_ZERO, 5), 1) == 6
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (5, 3), (7, 2), (7, 3), (7, 4), (11, 3), (11, 5)])
@@ -583,12 +637,12 @@ def test_point_count_cap_refused_before_tables():
 
 def test_zeta_l_polynomials():
     assert zeta_l_polynomial(model("y^2 = x^5 - x", 3)) == (1, 0, -2, 0, 9)
-    assert zeta_l_polynomial(model("y^2 = x^5 - 1", 5)) == (1,)
+    assert zeta_l_polynomial(model(GAMMA_ZERO, 5)) == zeta_l_polynomial(model(NODAL, 5)) == (1, 0, 0, 0, 25)
 
 
 def test_zeta_oracle_named_values():
     assert zeta_prank_oracle(model("y^2 = x^5 - x", 3)) == 2
-    assert zeta_prank_oracle(model("y^2 = x^5 - 1", 5)) == 0
+    assert zeta_prank_oracle(model(GAMMA_ZERO, 5)) == zeta_prank_oracle(model(NODAL, 5)) == 0
     assert zeta_prank_oracle(model("y^2 = x^5 - x", 5)) == 0
     assert zeta_prank_oracle(model("y^2 = x^3 + x", 5)) == p_rank(model("y^2 = x^3 + x", 5)) == 1
 
@@ -601,6 +655,31 @@ def test_zeta_weil_bounds():
         for r in range(1, g + 1):
             n = count_points(m, r)
             assert (n - p**r - 1) ** 2 <= 4 * g * g * p**r
+
+
+def test_cartier_agrees_with_zeta_on_random_non_squarefree():
+    """y^m = f with a repeated factor, m in {2, 3, 4}, deg f <= 9 and smooth genus
+    <= 3: every model the Cartier route accepts has the zeta oracle's p-rank."""
+    rng = random.Random(7)
+    supported = dict.fromkeys((2, 3, 4), 0)
+    for _ in range(3000):
+        p = rng.choice((3, 5, 7))
+        m = rng.choice([m for m in (2, 3, 4) if m % p])
+        f = FpPoly(p, (rng.randrange(1, p),))
+        for _ in range(rng.randrange(1, 4)):
+            f = f * FpPoly(p, [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]) ** rng.randrange(1, 5)
+        if f.degree > 9 or all(mult == 1 for _, mult in squarefree_decomposition(f)):
+            continue
+        try:
+            curve = CurveModel(m, f, p)
+            if normalization_genus(curve) > 3:
+                continue
+            rank = p_rank(curve)
+        except UnsupportedModelError:
+            continue
+        assert rank == zeta_prank_oracle(curve), (m, p, f.coeffs)
+        supported[m] += 1
+    assert min(supported.values()) >= 40, supported
 
 
 @pytest.mark.parametrize("p,degrees", [(3, (5, 6)), (5, (5, 6))])
@@ -620,7 +699,7 @@ def test_cartier_agrees_with_zeta_on_random_squarefree(p, degrees):
 
 def test_superelliptic_cartier_agrees_with_zeta():
     m3 = model("y^3 = x^4 + x + 2", 5)
-    assert genus_of_model(m3) == 3
+    assert normalization_genus(m3) == 3
     assert p_rank(m3) == zeta_prank_oracle(m3) == 2
     m4 = model("y^4 = x^3 + x + 1", 5)
     assert p_rank(m4) == zeta_prank_oracle(m4)
@@ -643,6 +722,33 @@ def test_substitution_invariance():
             for u in range(2, p):
                 assert p_rank(CurveModel(2, scale_x(f, u), p)) == base
             count += 1
+
+
+def test_differential_basis_is_every_regular_monomial():
+    """The closed-form intervals against a check of every a at every place, on
+    models with repeated factors, x = 0 among them, and every m up to the cap."""
+    rng = random.Random(8)
+    spanned = 0
+    for _ in range(1500):
+        p = rng.choice((3, 5, 7, 11))
+        m = rng.choice([m for m in range(2, 9) if m % p])
+        f = FpPoly(p, (0,) * rng.randrange(3) + (rng.randrange(1, p),))
+        for _ in range(rng.randrange(1, 4)):
+            f = f * FpPoly(p, [rng.randrange(p) for _ in range(rng.randrange(1, 3))] + [1]) ** rng.randrange(1, 6)
+        if f.degree > 16:
+            continue
+        try:
+            curve = CurveModel(m, f, p)
+        except UnsupportedModelError:
+            continue
+        regular = regular_monomials(curve)
+        if len(regular) == normalization_genus(curve):
+            assert differential_basis(curve) == regular, (m, p, f.coeffs)
+            spanned += 1
+        else:
+            with pytest.raises(UnsupportedModelError):
+                differential_basis(curve)
+    assert spanned >= 100
 
 
 def test_cartier_rejects_unspanned_basis():
