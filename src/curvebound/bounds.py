@@ -4,10 +4,8 @@ Every verdict is decided over the integers: fractional exponents are cleared
 by raising both positive sides to the exponent denominator, and the cleared
 sides are compared by cross-multiplying their integer numerators and
 denominators.  Fractions appear only at the registry's inputs (decimal
-constants as exact rationals) and as the return value of ``exp_upper``; a
-comparison of two of them is itself an exact cross-multiplication.  Calculus
-facts (the logarithm estimates used to bound the field-automorphism factor)
-are analytic lemmas, outside every verdict.
+constants as exact rationals); a comparison of two of them is itself an exact
+cross-multiplication.
 
 The registry stores each chain step in the normalization the source argument
 uses.  A handful of printed steps are genuinely false as stated; they are
@@ -22,11 +20,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from . import Record
 from .arith import factorize
-from .classical import FamilySpec, family_order
+from .classical import family_order
 
 F = Fraction
 
@@ -168,7 +166,7 @@ def _smallest_failure(sign, good: int, bad: int) -> int:
     return bad
 
 
-# -- exact polynomial positivity and series bounds --------------------------
+# -- exact polynomial positivity ----------------------------------------------
 
 
 def _integer_kth_root(n: int, k: int) -> int:
@@ -224,26 +222,6 @@ def poly_positive_from(coeffs, start: int) -> AuditReport:
         if _poly_eval(coeffs, x) <= 0:
             return AuditReport("fails", witness=x)
     return AuditReport("holds")
-
-
-def exp_upper(x: Fraction) -> Fraction:
-    """Exact rational upper bound for e**x (0 <= x < 41): 40 Taylor terms and a geometric tail.
-
-    With x = a/b the terms are summed over the common denominator 39! b^39,
-    and the tail x^40/40! / (1 - x/41) joins them over 40! b^39 (41b - a).
-    """
-    x = F(x)
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    if x >= 41:
-        raise ValueError("too few terms for the tail bound")
-    a, b = x.numerator, x.denominator
-    term = factorial(39) * b**39  # 39! b^39 x^k / k!, an integer for k <= 39
-    total = term
-    for k in range(1, 40):
-        term = term * a // (b * k)
-        total += term
-    return F(total * 40 * (41 * b - a) + 41 * a * term, factorial(40) * b**39 * (41 * b - a))
 
 
 # -- small polynomial helpers for the registry tails -------------------------
@@ -348,9 +326,10 @@ def _poly_step(step):
     return AuditReport(rep.verdict, rep.witness, note=step.note or rep.note)
 
 
-def _exp_step(step):
-    base, x = step.params
-    return _verdict(step, exp_upper(x) < base)
+def _outer_factor_step(step):
+    """c^2 f^2 <= p_min^f at f = 1 and 2, cross-multiplied: f <= sqrt(q)/c for q = p^f, p >= p_min."""
+    p_min, c = step.params
+    return _verdict(step, all(c.numerator**2 * f * f <= c.denominator**2 * p_min**f for f in (1, 2)))
 
 
 def _holds_at_step(step):
@@ -377,21 +356,16 @@ def _point_fail_step(step):
                        witness=witness if really_fails else None, note=step.note)
 
 
-def _analytic_step(step):
-    return AuditReport("holds", note="analytic lemma, outside exact-arithmetic scope: " + step.note)
-
-
 _KIND_DISPATCH = {
     "const": _const_step,
     "arith": _arith_step,
     "even_genus_min": _even_genus_step,
     "dominates": _dominates_step,
     "poly": _poly_step,
-    "exp": _exp_step,
+    "outer_factor": _outer_factor_step,
     "holds_at": _holds_at_step,
     "per_q": _per_q_step,
     "point_fail": _point_fail_step,
-    "analytic": _analytic_step,
 }
 
 
@@ -445,12 +419,12 @@ def registry():
 
     add(
         "prelim",
-        Step("prelim.ln5", "exp", "outer factor count over q = 5^k", (5, F(8, 5)),
-             note="ln 5 > 1.6, certified through an exact rational bound on e^(8/5)"),
-        Step("prelim.ln3", "exp", "outer factor count over q = 3^k", (3, F(109, 100)),
-             note="ln 3 > 1.09, certified through an exact rational bound on e^(109/100)"),
-        Step("prelim.log_vs_sqrt", "analytic", "log bound for the outer cyclic factor", (),
-             note="ln(1+x) <= x/sqrt(1+x) for x >= 0, and x/sqrt(x+1) < sqrt(x)"),
+        Step("prelim.ln5", "outer_factor", "outer factor count over q = 5^k", (5, F(8, 5)),
+             note="64f^2 <= 25*5^f at f = 1 and 2, so f <= sqrt(q)/1.6 for q = p^f with p >= 5"),
+        Step("prelim.ln3", "outer_factor", "outer factor count over q = 3^k", (3, F(109, 100)),
+             note="11881f^2 <= 10000*3^f at f = 1 and 2, so f <= sqrt(q)/1.09 for q = p^f with p >= 3"),
+        Step("prelim.log_vs_sqrt", "poly", "log bound for the outer cyclic factor", ((-1, -2, 2), 2),
+             note="(f+1)^2 < 3f^2 <= p*f^2 for f >= 2 and p >= 3, so c^2 f^2 <= p^f passes from f to f+1"),
         Step("prelim.solvable_68sqrt2", "dominates", "solvable bound restated over g",
              (PowerBound(F(34), shift=1, num=3, den=2), PowerBound(F(68), num=3, den=2, mult=2), 2, None),
              note="34(g+1)^(3/2) < 68*sqrt(2)*g^(3/2) for g >= 2"),
@@ -472,7 +446,7 @@ def registry():
         Step("psl2.c1.c50864", "const", "collapse (37.75/1.6)*60^(3/4)",
              (F(755, 32), 60**3, 4, F(50864, 100)),
              note="(37.75/1.6)^4 * 60^3 <= 508.64^4"),
-        Step("psl2.c1.arith_pgl2_125", "arith", "3*|PGL(2,125)|", (3 * family_order(FamilySpec("PGL2", 125)), 5859000)),
+        Step("psl2.c1.arith_pgl2_125", "arith", "3*|PGL(2,125)|", (3 * family_order("PGL2", 125), 5859000)),
         Step("psl2.c1.g266", "even_genus_min", "even genus floor in the twisted subcase", (5859000, 266)),
         Step("psl2.c1.s048", "dominates", "absorb the linear term from g >= 266",
              (sixty_gm1, PowerBound(F(12, 25), shift=-1, num=3, den=2, mult=60), 266, None),
@@ -522,10 +496,10 @@ def registry():
              (PowerBound(F(13352, 100), shift=1, num=7, den=4), PowerBound(F(266), num=7, den=4), 3, None)),
     )
 
-    psu_orders = {q: family_order(FamilySpec("PSU3", q)) for q in range(5, 401, 4) if len(factorize(q)) == 1}
+    psu_orders = {q: family_order("PSU3", q) for q in range(5, 401, 4) if len(factorize(q)) == 1}
     add(
         "psu3",
-        Step("psu.arith_order5", "arith", "|PSU(3,5)|", (family_order(FamilySpec("PSU3", 5)), 126000)),
+        Step("psu.arith_order5", "arith", "|PSU(3,5)|", (family_order("PSU3", 5), 126000)),
         Step("psu.g40", "even_genus_min", "even genus floor from PSU(3,5)", (126000, 40)),
         Step("psu.qpoly", "poly", "(q-1)^5 < q^3(q^2-1) for q >= 2",
              ((1, -5, 10, -11, 5), 2),
@@ -548,7 +522,7 @@ def registry():
              (PowerBound(F(59521, 100), shift=-1, num=8, den=5), PowerBound(F(345), shift=-1, num=7, den=4), 40, None),
              note="595.21(g-1)^(8/5) < 345(g-1)^(7/4) for g >= 40 (sharp at 39)"),
         Step("psu.g15378928", "even_genus_min", "even genus floor from PSU(3,125)",
-             (family_order(FamilySpec("PSU3", 125)), 15378928)),
+             (family_order("PSU3", 125), 15378928)),
         Step("psu.arith_10938", "arith", "twisted constant 3*595.21/1.6",
              (3 * F(59521, 100) / F(8, 5), F(178563, 160))),
         Step("psu.c175024", "const", "collapse (3*595.21/1.6)*90^(1/10)",
@@ -560,10 +534,10 @@ def registry():
              note="1750.24(g-1)^(17/10) < 766(g-1)^(7/4) for g >= 15378928"),
     )
 
-    pgl3_orders = {q: family_order(FamilySpec("PGL3", q)) for q in range(3, 401, 4) if len(factorize(q)) == 1}
+    pgl3_orders = {q: family_order("PGL3", q) for q in range(3, 401, 4) if len(factorize(q)) == 1}
     add(
         "psl3",
-        Step("psl3.arith_order3", "arith", "|PSL(3,3)|", (family_order(FamilySpec("PSL3", 3)), 5616)),
+        Step("psl3.arith_order3", "arith", "|PSL(3,3)|", (family_order("PSL3", 3), 5616)),
         Step("psl3.g10", "even_genus_min", "even genus floor from PSL(3,3)", (5616, 10)),
         Step("psl3.qpoly", "poly", "(q-1)^4 < q^3(q+1) for q >= 1",
              ((-1, 4, -6, 5), 1),

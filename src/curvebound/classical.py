@@ -13,46 +13,23 @@ from math import gcd
 from . import Record
 from .arith import factor_prime_power, factorize
 
-FAMILIES = ("PSL2", "PGL2", "PSL3", "PGL3", "PSU3", "PGU3")
 
+def family_order(family: str, q: int) -> int:
+    """Exact order of PSL(2,q), PGL(2,q), PSL(3,q), PGL(3,q), PSU(3,q) or PGU(3,q) at a prime power q.
 
-class FamilySpec(Record):
-    """One candidate group: a classical family at a prime power q."""
-
-    __slots__ = ("family", "q")
-
-    def __init__(self, family: str, q: int):
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-        factor_prime_power(q)  # raises unless q is a prime power
-        if family in ("PSL2", "PGL2"):
-            if q < 5 or q % 2 == 0:
-                raise ValueError("PSL(2,q) case requires odd q >= 5")
-        elif family in ("PSL3", "PGL3"):
-            if q % 4 != 3:
-                raise ValueError("PSL(3,q) case requires q = 3 mod 4")
-        elif family in ("PSU3", "PGU3"):
-            if q % 4 != 1:
-                raise ValueError("PSU(3,q) case requires q = 1 mod 4")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "q", q)
-
-
-def family_order(spec: FamilySpec) -> int:
-    """Exact order of the group described by ``spec``."""
-    q = spec.q
-    if spec.family == "PSL2":
-        return q * (q - 1) * (q + 1) // 2
-    elif spec.family == "PGL2":
-        return q * (q - 1) * (q + 1)
-    elif spec.family == "PSL3":
-        return q**3 * (q**3 - 1) * (q**2 - 1) // gcd(3, q - 1)
-    elif spec.family == "PGL3":
-        return q**3 * (q**3 - 1) * (q**2 - 1)
-    elif spec.family == "PSU3":
-        return q**3 * (q**2 - 1) * (q**3 + 1) // gcd(3, q + 1)
-    else:  # PGU3
-        return q**3 * (q**2 - 1) * (q**3 + 1)
+    The PGL/PGU order is the PSL/PSU order times gcd(2, q-1), gcd(3, q-1)
+    or gcd(3, q+1) respectively.
+    """
+    factor_prime_power(q)  # raises unless q is a prime power
+    if family in ("PSL2", "PGL2"):
+        order, centre = q * (q * q - 1), gcd(2, q - 1)
+    elif family in ("PSL3", "PGL3"):
+        order, centre = q**3 * (q**3 - 1) * (q * q - 1), gcd(3, q - 1)
+    elif family in ("PSU3", "PGU3"):
+        order, centre = q**3 * (q**3 + 1) * (q * q - 1), gcd(3, q + 1)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return order // centre if family.startswith("PS") else order
 
 
 class GroupFacts(Record):

@@ -2,7 +2,6 @@ import pytest
 from oracles import shipped_facts
 
 from curvebound.classical import (
-    FamilySpec,
     GroupFacts,
     factor_prime_power,
     family_order,
@@ -22,36 +21,34 @@ def test_prime_power_recognition():
 
 
 def test_family_orders():
-    assert family_order(FamilySpec("PSL2", 5)) == 60
-    assert family_order(FamilySpec("PSU3", 5)) == 126000
-    assert family_order(FamilySpec("PSL3", 3)) == 5616
+    assert family_order("PSL2", 5) == 60
+    assert family_order("PSU3", 5) == 126000
+    assert family_order("PSL3", 3) == 5616
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27, 125])
 def test_pgl2_is_twice_psl2(q):
-    assert family_order(FamilySpec("PGL2", q)) == 2 * family_order(FamilySpec("PSL2", q))
+    assert family_order("PGL2", q) == 2 * family_order("PSL2", q)
 
 
 @pytest.mark.parametrize("q", [3, 7, 11, 19, 27])
 def test_pgl3_index(q):
     from math import gcd
 
-    assert family_order(FamilySpec("PGL3", q)) == gcd(3, q - 1) * family_order(FamilySpec("PSL3", q))
+    assert family_order("PGL3", q) == gcd(3, q - 1) * family_order("PSL3", q)
 
 
 def test_congruence_validation():
+    """The orders hold off the chains' congruence classes too: only a q that is not a
+    prime power, or an unknown family, is refused."""
+    textbook = {("PSL2", 4): 60, ("PSL2", 8): 504, ("PSL3", 2): 168, ("PSL3", 5): 372000,
+                ("PSU3", 3): 6048, ("PSU3", 4): 62400}
+    assert {key: family_order(*key) for key in textbook} == textbook
+    assert family_order("PGL2", 4) == 60 and family_order("PGU3", 5) == 3 * 126000
     with pytest.raises(ValueError):
-        FamilySpec("PSL3", 5)  # needs q = 3 mod 4
+        family_order("PSL2", 15)  # q must be a prime power
     with pytest.raises(ValueError):
-        FamilySpec("PSU3", 7)  # needs q = 1 mod 4
-    with pytest.raises(ValueError):
-        FamilySpec("PSL2", 4)  # q must be odd >= 5
-    with pytest.raises(ValueError):
-        FamilySpec("PSL2", 3)
-    with pytest.raises(ValueError):
-        FamilySpec("PSL2", 15)  # q must be a prime power
-    with pytest.raises(ValueError):
-        FamilySpec("ALT7", 7)
+        family_order("ALT7", 7)
 
 
 def test_sporadic_facts_alt7():

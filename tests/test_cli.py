@@ -302,7 +302,7 @@ GOLDEN_REPORTS = [
     ("enumerate-m11-11", ["enumerate", "--group", "m11", "--char", "11"],
      "c6246848370516c8f14b95383c4f90b155bcfa702b3603fbd780f0f4276f5702"),
     ("bounds-all", ["bounds", "all"],
-     "f6ee5d00cdb4464c6cbf1e600f8404c3953188c3a726918c3b85bef4f268c8ab"),
+     "8a0c4c808932d4df4b6a8e0e9bf1d66761177509161840a313cbb8a4acfdfb90"),
     ("bounds-main-7920-26", ["bounds", "main", "--order", "7920", "--genus", "26"],
      "48113e4dadf6a50fc52109aabf16406e415acb46428a13b545b610b0a722e660"),
     ("prank-oracle-p3", ["prank", "--p", "3", "--curve", "y^2 = x^5 - x", "--oracle"],

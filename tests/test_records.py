@@ -6,7 +6,7 @@ import pytest
 
 from curvebound import Record
 from curvebound.bounds import AuditReport, PowerBound, Step
-from curvebound.classical import FamilySpec, GroupFacts
+from curvebound.classical import GroupFacts
 from curvebound.fppoly import FpPoly
 from curvebound.prank import CartierMatrix, CurveModel
 from curvebound.ramification import Candidate
@@ -19,12 +19,10 @@ RECORDS = [
      "PowerBound(coeff=Fraction(84, 1), shift=-1, num=1, den=1, mult=1)"),
     (lambda: AuditReport("fails", 3, note="x"),
      "AuditReport(verdict='fails', witness=3, note='x')"),
-    (lambda: Step("prelim.ln5", "exp", "outer factor count over q = 5^k", (5, F(8, 5)),
-                  note="ln 5 > 1.6, certified through an exact rational bound on e^(8/5)"),
-     "Step(step_id='prelim.ln5', kind='exp', anchor='outer factor count over q = 5^k', "
-     "params=(5, Fraction(8, 5)), slip=False, note='ln 5 > 1.6, certified through an exact "
-     "rational bound on e^(8/5)')"),
-    (lambda: FamilySpec("PSU3", 5), "FamilySpec(family='PSU3', q=5)"),
+    (lambda: Step("prelim.ln5", "outer_factor", "outer factor count over q = 5^k", (5, F(8, 5)),
+                  note="64f^2 <= 25*5^f at f = 1 and 2"),
+     "Step(step_id='prelim.ln5', kind='outer_factor', anchor='outer factor count over q = 5^k', "
+     "params=(5, Fraction(8, 5)), slip=False, note='64f^2 <= 25*5^f at f = 1 and 2')"),
     (lambda: GroupFacts(p=3, order=2520, wild_catalog=((3, 2),), tame_catalog=(2, 4)),
      "GroupFacts(p=3, order=2520, wild_catalog=((3, 2),), tame_catalog=(2, 4))"),
     (lambda: CurveModel(2, FpPoly(3, (0, 2, 0, 0, 0, 1)), 3), "CurveModel(m=2, f=x^5 + 2x, p=3)"),
