@@ -8,12 +8,15 @@ constants as exact rationals); a comparison of two of them is itself an exact
 cross-multiplication.
 
 The registry stores each chain step in the normalization the source argument
-uses.  A handful of printed steps are genuinely false as stated; they are
-registered with ``slip=True`` together with an exact failure witness, and
-each has a validated companion step covering the same link of the chain.  A
-chain passes iff every step reproduces its frozen verdict.  The verdicts
-depend on the frozen registry alone, so each chain is audited once per
-process.
+uses.  One audit rule serves every step: its kind names a checker, the
+checker is called on the step's params (``dominates`` and
+``poly_positive_from`` are the checkers of their kinds), and the row's note
+is the step's note followed by the checker's.  A handful of printed steps are
+genuinely false as stated; they are registered with ``slip=True`` together
+with an exact failure witness, and each has a validated companion step
+covering the same link of the chain.  A chain passes iff every step
+reproduces its frozen verdict.  The verdicts depend on the frozen registry
+alone, so each chain is audited once per process.
 """
 
 from __future__ import annotations
@@ -58,23 +61,21 @@ def holds_at(b: PowerBound, value: int, g: int) -> bool:
     return value**den * c.denominator**den < c.numerator**den * b.mult * (g + b.shift) ** b.num
 
 
-def _exponents(b1: PowerBound, b2: PowerBound):
-    """(power, alpha, beta): raising both sides to power = lcm(den1, den2)
-    clears the roots, leaving the exponents alpha of g + s1 and beta of g + s2."""
-    power = lcm(b1.den, b2.den)
-    return power, b1.num * power // b1.den, b2.num * power // b2.den
-
-
 def _comparator(b1: PowerBound, b2: PowerBound):
-    """(sign, tail): sign(g) is the sign of b1(g) - b2(g), decided exactly, and
-    tail its sign for all large g.
+    """(sign, tail, split): sign(g) is the sign of b1(g) - b2(g), decided exactly,
+    tail its sign for all large g, and split the floor of the single extremum of
+    the cleared log-difference, None if there is none.
 
-    Raised to the power that clears both roots, and with the denominators
-    cross-multiplied, the comparison is lead1*(g+s1)^alpha vs lead2*(g+s2)^beta;
-    the constants are multiplied out once for the pair.  The tail is decided
-    by the exponents, then by the constants, then by the shifts.
+    Raised to power = lcm(den1, den2), which clears both roots, and with the
+    denominators cross-multiplied, the comparison is lead1*(g+s1)^alpha vs
+    lead2*(g+s2)^beta; the constants are multiplied out once for the pair.  The
+    tail is decided by the exponents, then by the constants, then by the
+    shifts.  beta*ln(g+s2) - alpha*ln(g+s1) has at most one stationary point, at
+    g = (alpha*s2 - beta*s1)/(beta - alpha), so the sign of the difference
+    changes at most once on each side of it.
     """
-    power, alpha, beta = _exponents(b1, b2)
+    power = lcm(b1.den, b2.den)
+    alpha, beta = b1.num * power // b1.den, b2.num * power // b2.den
     lead1 = b1.coeff.numerator**power * b1.mult ** (power // b1.den) * b2.coeff.denominator**power
     lead2 = b2.coeff.numerator**power * b2.mult ** (power // b2.den) * b1.coeff.denominator**power
     s1, s2 = b1.shift, b2.shift
@@ -86,26 +87,10 @@ def _comparator(b1: PowerBound, b2: PowerBound):
         return (lhs > rhs) - (lhs < rhs)
 
     if alpha != beta:
-        tail = 1 if alpha > beta else -1
-    elif lead1 != lead2 or alpha == 0:
-        tail = (lead1 > lead2) - (lead1 < lead2)
-    else:
-        tail = (s1 > s2) - (s1 < s2)
-    return sign, tail
-
-
-def _split_point(b1: PowerBound, b2: PowerBound):
-    """Floor of the single extremum of the cleared log-difference, None if there is none.
-
-    After clearing roots the comparison is A*(g+s1)^alpha vs B*(g+s2)^beta;
-    beta*ln(g+s2) - alpha*ln(g+s1) has at most one stationary point, at
-    g = (alpha*s2 - beta*s1)/(beta - alpha), so the sign of the difference
-    changes at most once on each side of it.
-    """
-    _, alpha, beta = _exponents(b1, b2)
-    if alpha == beta:
-        return None
-    return (alpha * b2.shift - beta * b1.shift) // (beta - alpha)
+        return sign, 1 if alpha > beta else -1, (alpha * s2 - beta * s1) // (beta - alpha)
+    if lead1 != lead2 or alpha == 0:
+        return sign, (lead1 > lead2) - (lead1 < lead2), None
+    return sign, (s1 > s2) - (s1 < s2), None
 
 
 class AuditReport(Record):
@@ -130,13 +115,12 @@ def dominates(b1: PowerBound, b2: PowerBound, g_min: int, g_max=None) -> AuditRe
     """
     if g_max is not None and g_max < g_min:
         raise ValueError("empty range")
-    lo = _split_point(b1, b2)
+    sign, tail, lo = _comparator(b1, b2)
     checkpoints = {g_min}
     if g_max is not None:
         checkpoints.add(g_max)
     if lo is not None:
         checkpoints.update(c for c in range(lo - 1, lo + 3) if c >= g_min and (g_max is None or c <= g_max))
-    sign, tail = _comparator(b1, b2)
     rel = {1: "reverses", -1: "persists", 0: "is exact equality"}[tail]
     note = f"tail: exponents {b1.num}/{b1.den} vs {b2.num}/{b2.den}, dominance {rel} at infinity"
     good = None
@@ -257,9 +241,10 @@ def _poly_scale(a, c):
 class Step(Record):
     """One audited inequality step.
 
-    ``kind`` selects the decision procedure, and ``slip=True`` marks claims
-    false exactly as printed; a companion step carries the validated
-    replacement.  ``expect`` is the verdict the audit must return.
+    ``kind`` names the checker that is called on ``params``, and
+    ``slip=True`` marks claims false exactly as printed; a companion step
+    carries the validated replacement.  ``expect`` is the verdict the audit
+    must return.
     """
 
     __slots__ = ("step_id", "kind", "anchor", "params", "slip", "note")
@@ -287,81 +272,55 @@ def _min_even_genus(order_bound: int) -> int:
     return g
 
 
-# step checkers --------------------------------------------------------------
+# step checkers: each kind's checker takes the step's params ------------------
 
 
-def _verdict(step, ok: bool, witness=None):
-    return AuditReport("holds" if ok else "fails", witness, note=step.note)
+def _report(ok: bool, witness=None, note: str = "") -> AuditReport:
+    """The boolean kinds' verdict: holds, or fails with the witness."""
+    return AuditReport("holds", note=note) if ok else AuditReport("fails", witness, note)
 
 
-def _const_step(step):
-    coeff, radicand, root, rhs = step.params
+def _const_step(coeff, radicand, root, rhs):
     lhs = coeff.numerator**root * radicand.numerator * rhs.denominator**root
-    return _verdict(step, lhs <= rhs.numerator**root * coeff.denominator**root * radicand.denominator)
+    return _report(lhs <= rhs.numerator**root * coeff.denominator**root * radicand.denominator)
 
 
-def _arith_step(step):
-    lhs, rhs = step.params
-    return _verdict(step, lhs == rhs)
+def _arith_step(lhs, rhs):
+    return _report(lhs == rhs)
 
 
-def _even_genus_step(step):
-    order_bound, expected_g = step.params
+def _even_genus_step(order_bound, expected_g):
     got = _min_even_genus(order_bound)
-    ok = got == expected_g
-    return AuditReport("holds" if ok else "fails", witness=None if ok else got,
-                       note=step.note or f"smallest even g with 84g(g-1) >= {order_bound} is {got}")
+    return _report(got == expected_g, got, f"smallest even g with 84g(g-1) >= {order_bound} is {got}")
 
 
-def _dominates_step(step):
-    b1, b2, g_min, g_max = step.params
-    rep = dominates(b1, b2, g_min, g_max)
-    note = (step.note + ("; " if step.note else "") + rep.note).strip()
-    return AuditReport(rep.verdict, rep.witness, note=note)
-
-
-def _poly_step(step):
-    coeffs, start = step.params
-    rep = poly_positive_from(coeffs, start)
-    return AuditReport(rep.verdict, rep.witness, note=step.note or rep.note)
-
-
-def _outer_factor_step(step):
+def _outer_factor_step(p_min, c):
     """c^2 f^2 <= p_min^f at f = 1 and 2, cross-multiplied: f <= sqrt(q)/c for q = p^f, p >= p_min."""
-    p_min, c = step.params
-    return _verdict(step, all(c.numerator**2 * f * f <= c.denominator**2 * p_min**f for f in (1, 2)))
+    return _report(all(c.numerator**2 * f * f <= c.denominator**2 * p_min**f for f in (1, 2)))
 
 
-def _holds_at_step(step):
-    bound, value, g, expect_true = step.params
-    ok = holds_at(bound, value, g) == expect_true
-    return _verdict(step, ok, None if ok else g)
+def _holds_at_step(bound, value, g, expect_true):
+    return _report(holds_at(bound, value, g) == expect_true, g)
 
 
-def _per_q_step(step):
-    orders, gm1_fn, bound, tail_coeffs, tail_start = step.params
+def _per_q_step(orders, gm1_fn, bound, tail_coeffs, tail_start):
     for q, order in orders.items():
         if not holds_at(bound, order, gm1_fn(q)):
-            return _verdict(step, False, q)
+            return AuditReport("fails", q)
     tail = poly_positive_from(tail_coeffs, tail_start)
-    if tail.verdict != "holds":
-        return AuditReport("fails", witness=tail.witness, note=step.note + " (tail polynomial)")
-    return _verdict(step, True)
+    return tail if tail.verdict == "holds" else AuditReport("fails", tail.witness, "tail polynomial")
 
 
-def _point_fail_step(step):
-    lhs, rhs, witness = step.params
-    really_fails = lhs >= rhs
-    return AuditReport("fails" if really_fails else "holds",
-                       witness=witness if really_fails else None, note=step.note)
+def _point_fail_step(lhs, rhs, witness):
+    return _report(lhs < rhs, witness)
 
 
 _KIND_DISPATCH = {
     "const": _const_step,
     "arith": _arith_step,
     "even_genus_min": _even_genus_step,
-    "dominates": _dominates_step,
-    "poly": _poly_step,
+    "dominates": dominates,
+    "poly": poly_positive_from,
     "outer_factor": _outer_factor_step,
     "holds_at": _holds_at_step,
     "per_q": _per_q_step,
@@ -620,8 +579,18 @@ def chain_steps(chain_id: str):
 
 @cache
 def _audited(chain_id):
-    """The reports of one chain, as a tuple: ``audit_chain`` copies it for each caller."""
-    return tuple(_KIND_DISPATCH[step.kind](step) for step in chain_steps(chain_id))
+    """The reports of one chain, as a tuple: ``audit_chain`` copies it for each caller.
+
+    Each step's checker is called on its params.  A row's note is the step
+    note followed by the checker's note, "; "-joined, an empty part skipped.
+    """
+    reports = []
+    for step in chain_steps(chain_id):
+        report = _KIND_DISPATCH[step.kind](*step.params)
+        if step.note:
+            report = AuditReport(report.verdict, report.witness, "; ".join(filter(None, (step.note, report.note))))
+        reports.append(report)
+    return tuple(reports)
 
 
 def audit_chain(chain_id: str):

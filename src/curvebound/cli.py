@@ -176,6 +176,9 @@ def cmd_group_audit(name: str) -> Report:
         with open(path, encoding="ascii") as handle:
             text = handle.read()
         group = permgroup.PermGroup(*permgroup.parse_generator_file(text))
+    if group.order() > permgroup.ELEMENT_SCAN_CAP:
+        raise UsageError(f"the {name} generator file builds a group of order {group.order()}, "
+                         f"above the element-scan cap of {permgroup.ELEMENT_SCAN_CAP}")
     report = Report(command=["group-audit", name], input_digest=_digest(name, text))
     checks = []
 

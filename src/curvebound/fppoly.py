@@ -87,8 +87,6 @@ class FpPoly:
         width = _slot_width(min(max(b) * sum(a), max(a) * sum(b)))
         return _unpacked(self.p, _packed(a, width) * _packed(b, width), width, len(a) + len(b) - 1)
 
-    __rmul__ = __mul__
-
     def __pow__(self, k: int):
         """self^k by square and multiply, from the leading bit of k down."""
         if k < 0:

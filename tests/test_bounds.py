@@ -129,9 +129,9 @@ def test_each_step_is_audited_once_per_process(monkeypatch):
     seen = []
 
     def spy(check):
-        def audit(step):
-            seen.append(step.step_id)
-            return check(step)
+        def audit(*params):
+            seen.append(params)
+            return check(*params)
         return audit
 
     monkeypatch.setattr(bounds, "_KIND_DISPATCH", {kind: spy(check) for kind, check in bounds._KIND_DISPATCH.items()})
@@ -140,10 +140,33 @@ def test_each_step_is_audited_once_per_process(monkeypatch):
         first, second = bounds.audit_all(), bounds.audit_all()
     finally:
         bounds._audited.cache_clear()
-    steps = [step.step_id for cid in bounds.chain_ids() for step in bounds.chain_steps(cid)]
-    assert len(steps) == 65
-    assert sorted(seen) == sorted(steps)
+    params = [step.params for cid in bounds.chain_ids() for step in bounds.chain_steps(cid)]
+    assert len(params) == 65
+    assert seen == params
     assert first == second
+
+
+def test_every_kind_has_a_step_and_every_step_a_kind():
+    kinds = {step.kind for cid in bounds.chain_ids() for step in bounds.chain_steps(cid)}
+    assert set(bounds._KIND_DISPATCH) == kinds
+    assert bounds._KIND_DISPATCH["dominates"] is dominates
+    assert bounds._KIND_DISPATCH["poly"] is poly_positive_from
+
+
+def test_a_row_note_is_the_step_note_then_the_checkers(monkeypatch):
+    b1, b2 = PowerBound(F(1)), PowerBound(F(1), num=2)
+    tail = "tail: exponents 1/1 vs 2/1, dominance persists at infinity"
+    assert dominates(b1, b2, 2).note == tail
+    noted = Step("t.noted", "dominates", "noted step", (b1, b2, 2, None), note="g < g^2")
+    bare = Step("t.bare", "dominates", "bare step", (b1, b2, 2, None))
+    monkeypatch.setattr(bounds, "registry", lambda: {"t": [noted, bare]})
+    bounds._audited.cache_clear()
+    try:
+        reports = bounds.audit_chain("t")
+    finally:
+        bounds._audited.cache_clear()
+    assert [r.note for r in reports] == [f"g < g^2; {tail}", tail]
+    assert [r.verdict for r in reports] == ["holds", "holds"]
 
 
 def test_mutating_an_audit_result_leaves_the_next_one_unchanged():
@@ -264,7 +287,7 @@ def test_poly_positive_beyond_float_range():
 
 
 def audit_step(step):
-    return bounds._KIND_DISPATCH[step.kind](step)
+    return bounds._KIND_DISPATCH[step.kind](*step.params)
 
 
 def test_outer_factor_rows_fail_on_a_constant_too_large_for_the_base_cases():

@@ -75,6 +75,18 @@ def test_json_matches_published_schema(capsys):
         jsonschema.validate(json.loads(out), schema)
 
 
+def test_published_schema_rejects_an_agrees_summary(capsys):
+    schema_path = os.path.join(os.path.dirname(permgroup.__file__), "data", "report-schema-v1.json")
+    with open(schema_path) as handle:
+        schema = json.load(handle)
+    _, out, _ = run(["prank", "--p", "3", "--curve", "y^2 = x^5 - x", "--oracle", "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert "agrees" in {row["verdict"] for row in doc["rows"]}  # a row may still agree
+    doc["verdict_summary"] = "agrees"
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+
+
 def test_csv_output_quotes_rfc4180(capsys):
     code, out, _ = run(["enumerate", "--group", "alt7", "--char", "5", "--format", "csv"], capsys)
     assert code == 0
@@ -162,6 +174,20 @@ def test_wrong_generator_group(tmp_path, monkeypatch, capsys):
     code, out, _ = run(["group-audit", "m11", "--format", "json"], capsys)
     assert code == 1  # a file that builds the wrong group is a failed verdict for the audit
     assert json.loads(out)["verdict_summary"] == "fails"
+
+
+def test_a_group_above_the_element_scan_cap_is_refused_at_once(tmp_path, monkeypatch, capsys):
+    # a 3-cycle and an 11-cycle through two of its points generate A12, of order 239,500,800
+    (tmp_path / "m11.txt").write_text("(1,2,3)\n(2,3,4,5,6,7,8,9,10,11,12)\n")
+    monkeypatch.setenv(permgroup.DATA_ENV_VAR, str(tmp_path))
+    start = time.perf_counter()
+    code, out, err = run(["group-audit", "m11", "--format", "json"], capsys)
+    assert time.perf_counter() - start < 1.0  # refused at once, before any element scan
+    assert (code, out) == (2, "")
+    assert err == ("error: the m11 generator file builds a group of order 239500800, "
+                   f"above the element-scan cap of {permgroup.ELEMENT_SCAN_CAP}\n")
+    code, out, err = run(["enumerate", "--group", "m11", "--char", "3"], capsys)
+    assert (code, out, err) == (2, "", "error: the m11 generator file builds a group of order 239500800\n")
 
 
 def test_same_order_other_group_is_refused(tmp_path, monkeypatch, capsys):
