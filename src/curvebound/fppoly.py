@@ -22,11 +22,12 @@ from array import array
 from functools import lru_cache
 from itertools import islice, product
 
+from . import Record
 from .arith import factorize, is_prime
 
 
-class FpPoly:
-    """Dense polynomial over GF(p)."""
+class FpPoly(Record):
+    """Dense polynomial over GF(p); its own equality and hash are faster than Record's."""
 
     __slots__ = ("p", "coeffs")
 
@@ -38,9 +39,6 @@ class FpPoly:
             c.pop()
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FpPoly is immutable")
 
     @classmethod
     def constant(cls, p, c):

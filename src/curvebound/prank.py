@@ -14,20 +14,22 @@ import re
 from math import comb, gcd
 
 from . import Record
-from .arith import factorize
 from .fppoly import FpPoly, field_tables, squarefree_decomposition
 
-ZETA_GENUS_CAP = 3
-ZETA_POINT_CAP = 10**7
 # Caps on a parsed curve, checked before any list is sized or any trial division runs.
 # The Cartier route raises f to at most m - 1 powers of degree below p deg f, then reduces
 # a g x g matrix to Hessenberg form.  At the corner (p = 31, m = 8, a dense f of degree 32,
 # genus 105) a cold ``prank`` takes 0.13-0.17 s on a 2-vCPU VM, 0.02 s of it for the matrix
-# and its stable rank.  The zeta oracle at p = 31 and genus 3 counts over fields of up to
-# 31^4 elements: a cold ``prank --oracle`` on y^2 = x^7 + 3x^2 + 5x + 1 takes 1.4-2.0 s.
+# and its stable rank.
 PRIME_CAP = 31
 COVER_DEGREE_CAP = 8
 POLY_DEGREE_CAP = 32
+# The zeta oracle counts over GF(p^r) for r <= g + 1.  The point cap is the largest field a
+# parsed curve needs, the verification count at p = 31 and genus 3: a cold ``prank --oracle``
+# on y^2 = x^7 + 3x^2 + 5x + 1 over GF(31) takes 1.4-2.0 s on a 2-vCPU VM.  A library model
+# whose GF(p^(g+1)) is larger skips the verification count rather than build that field.
+ZETA_GENUS_CAP = 3
+ZETA_POINT_CAP = PRIME_CAP ** (ZETA_GENUS_CAP + 1)
 
 
 class UnsupportedModelError(ValueError):
@@ -53,10 +55,8 @@ class CurveModel(Record):
             raise UnsupportedModelError("cover degree must be >= 2 and prime to p")
         if f.is_zero() or f.degree < 1:
             raise UnsupportedModelError("right-hand side must be non-constant")
-        mults = [mult for _, mult in squarefree_decomposition(f)]
-        for d, _ in factorize(m):
-            if all(mu % d == 0 for mu in mults):
-                raise UnsupportedModelError("cover splits: an m-th root of f exists up to scalars")
+        if gcd(m, *(mult for _, mult in squarefree_decomposition(f))) > 1:
+            raise UnsupportedModelError("cover splits: an m-th root of f exists up to scalars")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "p", p)
@@ -78,33 +78,19 @@ def reduced_model(model: CurveModel) -> CurveModel:
 
 
 def normalization_genus(model: CurveModel) -> int:
-    """Genus of the smooth model, by the tame cover formula; the quantity the
-    point-count oracle sees."""
-    exponents = [mult for poly, mult in squarefree_decomposition(model.f) for _ in range(poly.degree)]
-    return kummer_genus(model.m, exponents, model.p)
+    """Genus of the smooth model, the quantity the point-count oracle sees.
 
-
-def kummer_genus(m: int, exponents, p: int) -> int:
-    """Genus of y^m = prod (x - a_i)^{lambda_i} with distinct a_i, p not dividing m.
-
-    Over a root of multiplicity lambda lie gcd(m, lambda) places, each with
-    index e = m/gcd(m, lambda); the place at infinity carries the exponent
-    -sum(lambda).  Tame throughout, so d = e - 1, and each a_i and infinity
-    add m - gcd(m, lambda) to 2g - 2 + 2m.
+    Over each root of a squarefree part a^lam of f lie gcd(m, lam) places,
+    each with index e = m / gcd(m, lam); the place at infinity is the same
+    with lam = deg f.  p does not divide m, so the cover is tame, d = e - 1,
+    and Riemann-Hurwitz over P^1 reads 2g - 2 = -2m + sum over the parts of
+    deg(a) (m - gcd(m, lam)) + (m - gcd(m, deg f)).
     """
-    if m <= 1:
-        raise ValueError("cover degree must be at least 2")
-    if p > 1 and m % p == 0:
-        raise ValueError(f"cover degree {m} divisible by the characteristic {p}")
-    total = m - gcd(m, sum(exponents)) - 2 * m
-    for lam in exponents:
-        total += m - gcd(m, lam)
-    if total % 2 != 0:
-        raise ValueError("non-integral genus: inconsistent branch data")
-    g = total // 2 + 1
-    if g < 0:
-        raise ValueError("negative genus: inconsistent branch data")
-    return g
+    m = model.m
+    total = m - gcd(m, model.f.degree) - 2 * m
+    for a, lam in squarefree_decomposition(model.f):
+        total += a.degree * (m - gcd(m, lam))
+    return total // 2 + 1
 
 
 def differential_basis(model: CurveModel):
@@ -331,9 +317,9 @@ def zeta_l_polynomial(model: CurveModel):
         coeffs.append(-value // k)
     coeffs += [p ** (g - k) * coeffs[k] for k in range(g - 1, -1, -1)]
     if p ** (g + 1) <= ZETA_POINT_CAP:
-        # the same identity read for s_(g+1); genus 0 has L(t) = 1, so c_1 = 0
+        # the same identity read for s_(g+1)
         k = g + 1
-        predicted = p**k + 1 + k * (coeffs[k] if g else 0) + _newton_sum(power_sums, coeffs, k)
+        predicted = p**k + 1 + k * coeffs[k] + _newton_sum(power_sums, coeffs, k)
         actual = count_points(model, k)
         if predicted != actual:
             raise UnsupportedModelError(

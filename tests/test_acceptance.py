@@ -24,7 +24,7 @@ from oracles import (
 
 from curvebound import bounds, permgroup
 from curvebound.fppoly import FpPoly, squarefree_decomposition
-from curvebound.prank import CurveModel, UnsupportedModelError, kummer_genus, normalization_genus, parse_curve
+from curvebound.prank import CurveModel, UnsupportedModelError, normalization_genus, parse_curve
 from curvebound.ramification import (
     case_i_ii_coefficient,
     deuring_shafarevich,
@@ -221,8 +221,10 @@ def test_criterion_7_ramification_suite():
     assert solve_branch_data([((3, 2), 10), ((1, 2), 6)], 2) == [(2, 2)]
     assert solve_branch_data([((8, 1), 3)], 2) == [(0, 3)]
 
-    assert kummer_genus(4, (1, 2, 2), 5) == 2
-    assert kummer_genus(4, (1,) + (2,) * 10, 5) == 10
+    # Kummer genera of y^4 = x (x - 1)^2 (x - 2)^2 and y^4 = x (x^10 + x + 1)^2 over GF(5)
+    simple = FpPoly(5, (0, 1))
+    assert normalization_genus(CurveModel(4, simple * FpPoly(5, (-1, 1)) ** 2 * FpPoly(5, (-2, 1)) ** 2, 5)) == 2
+    assert normalization_genus(CurveModel(4, simple * FpPoly(5, (1, 1) + (0,) * 8 + (1,)) ** 2, 5)) == 10
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

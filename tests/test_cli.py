@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -358,3 +359,22 @@ def test_reports_do_not_depend_on_the_hash_seed():
 
     for argv in commands + [["bounds", "all"]]:
         assert stdout(argv, "0") == stdout(argv, "1"), argv
+
+
+def _readme_examples():
+    """argv of each ``curvebound`` line in the ``sh`` block under README's "## CLI"."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.partition("#")[0])[1:] for line in block.splitlines()
+            if line.startswith("curvebound ")]
+
+
+def test_readme_cli_examples_cover_every_command():
+    assert {argv[0] for argv in _readme_examples()} == {"enumerate", "group-audit", "bounds", "prank"}
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+def test_readme_cli_examples_run(argv, capsys):
+    code, out, err = run(argv + ["--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    json.loads(out)

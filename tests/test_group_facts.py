@@ -1,5 +1,8 @@
 """Certification of the two sporadic candidate groups from their files."""
 
+import pytest
+from oracles import shipped_group
+
 from curvebound import permgroup
 from curvebound.perm import Permutation
 from curvebound.permgroup import PermGroup, closure_elements
@@ -63,6 +66,31 @@ def test_sylow2_shapes(alt7, m11):
     assert s2_m11.order() == 16
     orders_m11 = sorted(g.order() for g in s2_m11.elements())
     assert orders_m11 == [1] + [2] * 5 + [4] * 6 + [8] * 4  # semidihedral of order 16
+
+
+def _built(cycles, degree):
+    return PermGroup([Permutation.parse(c, degree) for c in cycles])
+
+
+# The 2-local premise: a dihedral or semidihedral Sylow 2-subgroup S has a cyclic
+# subgroup of index 2, so an element of order |S|/2.  A8's, of order 64 and
+# exponent 4, has none: the control.
+SYLOW2_CASES = [
+    pytest.param(lambda: shipped_group("alt7"), 8, 4, True, id="alt7"),
+    pytest.param(lambda: shipped_group("m11"), 16, 8, True, id="m11"),
+    pytest.param(lambda: _built(["(1,2,3)", "(3,4,5)"], 5), 4, 2, True, id="A5"),
+    pytest.param(lambda: _built(["(1,2,3)", "(2,3,4,5,6)"], 6), 8, 4, True, id="A6"),
+    pytest.param(lambda: _built(["(1,2,3,4,5,6,7)", "(2,3)(4,7)"], 7), 8, 4, True, id="PSL27"),
+    pytest.param(lambda: _built(["(1,2,3)", "(2,3,4,5,6,7,8)"], 8), 64, 4, False, id="A8"),
+]
+
+
+@pytest.mark.parametrize("build, size, largest, half", SYLOW2_CASES)
+def test_sylow2_has_an_element_of_half_its_order(build, size, largest, half):
+    sylow = build().sylow_subgroup(2)
+    orders = sylow.element_order_set()
+    assert (sylow.order(), max(orders)) == (size, largest)
+    assert (size // 2 in orders) is half
 
 
 def test_loading_respects_env_override(tmp_path, monkeypatch):

@@ -27,6 +27,8 @@ from oracles import (
 from curvebound.arith import factorize, is_prime
 from curvebound.fppoly import FpPoly, field_tables, squarefree_decomposition
 from curvebound.prank import (
+    PRIME_CAP,
+    ZETA_GENUS_CAP,
     ZETA_POINT_CAP,
     CartierMatrix,
     CurveModel,
@@ -35,12 +37,14 @@ from curvebound.prank import (
     charpoly_mod_p,
     count_points,
     differential_basis,
+    l_polynomial_p_rank,
     normalization_genus,
     parse_curve,
     reduced_model,
     stable_rank,
     zeta_l_polynomial,
 )
+from curvebound.ramification import hurwitz_genus
 
 
 def model(expr, p):
@@ -260,6 +264,44 @@ def test_genus_of_models():
         model("y^2 = x^5 - 1", 5)
 
 
+def test_genus_read_off_squarefree_parts():
+    # root multiplicities (1, 2, 2) under m = 4: x (x - 1)^2 (x - 2)^2
+    f = FpPoly(5, (0, 1)) * FpPoly(5, (-1, 1)) ** 2 * FpPoly(5, (-2, 1)) ** 2
+    assert normalization_genus(CurveModel(4, f, 5)) == 2
+    # one simple root and ten double roots under m = 4: x (x^10 + x + 1)^2
+    f = FpPoly(5, (0, 1)) * FpPoly(5, (1, 1) + (0,) * 8 + (1,)) ** 2
+    assert [(a.degree, lam) for a, lam in squarefree_decomposition(f)] == [(1, 1), (10, 2)]
+    assert normalization_genus(CurveModel(4, f, 5)) == 10
+    # hyperelliptic: five, three and six simple roots
+    assert normalization_genus(model("y^2 = x^5 - x", 7)) == 2
+    assert normalization_genus(model("y^2 = x^3 + 1", 5)) == 1
+    assert normalization_genus(model("y^2 = x^6 - x", 3)) == 2
+
+
+def test_genus_agrees_with_riemann_hurwitz_on_random_models():
+    """normalization_genus against ``hurwitz_genus`` of the cyclic cover of P^1: one
+    point (e, e - 1, 1) per root of a part a^lam and at infinity (lam = deg f),
+    e = m / gcd(m, lam) > 1, with the sum cleared over the lcm of the e."""
+    rng = random.Random(24)
+    checked = repeated = 0
+    for _ in range(3000):
+        p = rng.choice((3, 5, 7, 11, 13))
+        m = rng.choice([m for m in range(2, 9) if m % p])
+        f = FpPoly(p, (rng.randrange(1, p),))
+        for _ in range(rng.randrange(1, 4)):
+            f = f * FpPoly(p, [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]) ** rng.randrange(1, 5)
+        try:
+            curve = CurveModel(m, f, p)
+        except UnsupportedModelError:
+            continue
+        lams = [lam for a, lam in squarefree_decomposition(f) for _ in range(a.degree)] + [f.degree]
+        points = [(e, e - 1, 1) for e in (m // gcd(m, lam) for lam in lams) if e > 1]
+        assert normalization_genus(curve) == hurwitz_genus(m, 0, points), (m, p, f)
+        checked += 1
+        repeated += max(lams[:-1]) > 1
+    assert checked >= 1000 and repeated >= 300, (checked, repeated)
+
+
 def test_degree_13_model_over_gf11():
     # trial-division factoring needed about half a minute for this model
     f = "4*x^13 + 10*x^12 + 4*x^11 + 6*x^10 + 5*x^9 + 2*x^8 + 9*x^7 + 8*x^5 + 6*x^4 + 7*x^3 + 2*x^2 + 5"
@@ -273,6 +315,8 @@ def test_model_validation():
         model("y^2 = x^2", 5)  # perfect square: cover splits
     with pytest.raises(UnsupportedModelError):
         model("y^5 = x^3 + 1", 5)  # p divides m
+    with pytest.raises(UnsupportedModelError):
+        model("y = x^3 + 1", 5)  # m = 1
     with pytest.raises(UnsupportedModelError):
         model("y^2 = x + 1", 5)  # genus 0
     with pytest.raises(UnsupportedModelError):
@@ -638,6 +682,16 @@ def test_point_count_cap_refused_before_tables():
 def test_zeta_l_polynomials():
     assert zeta_l_polynomial(model("y^2 = x^5 - x", 3)) == (1, 0, -2, 0, 9)
     assert zeta_l_polynomial(model(GAMMA_ZERO, 5)) == zeta_l_polynomial(model(NODAL, 5)) == (1, 0, 0, 0, 25)
+
+
+def test_zeta_oracle_past_the_prime_cap_stays_under_the_point_cap():
+    # the largest field a parsed curve needs: the verification count at p = 31, genus 3
+    assert ZETA_POINT_CAP == PRIME_CAP ** (ZETA_GENUS_CAP + 1) == 923521
+    curve = CurveModel(2, FpPoly(211, (1, 3, 0, 0, 0, 1)), 211)
+    start = time.perf_counter()
+    rank = l_polynomial_p_rank(zeta_l_polynomial(curve), 211)
+    assert time.perf_counter() - start < 2.0
+    assert rank == stable_rank(cartier_matrix(curve)) == 2
 
 
 def test_zeta_oracle_named_values():

@@ -2,12 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from oracles import UnboundedInstanceError, hurwitz_genus_reference, shipped_facts, solve_branch_data
 
 from curvebound.classical import GroupFacts
-from curvebound.prank import kummer_genus
 from curvebound.ramification import (
     case_i_ii_coefficient,
     deuring_shafarevich,
@@ -112,34 +109,6 @@ def test_deuring_shafarevich_instances():
         deuring_shafarevich(6, 1, [])  # not a prime power
     with pytest.raises(ValueError):
         deuring_shafarevich(9, 1, [5])  # orbit size must divide the order
-
-
-def test_kummer_genus_values():
-    assert kummer_genus(4, (1, 2, 2), 5) == 2
-    assert kummer_genus(2, (1, 1, 1, 1, 1), 7) == 2
-    assert kummer_genus(4, (1,) + (2,) * 10, 5) == 10
-    assert kummer_genus(2, (1, 1, 1), 5) == 1
-    assert kummer_genus(2, (1, 1, 1, 1, 1, 1), 3) == 2
-
-
-def test_kummer_genus_errors():
-    with pytest.raises(ValueError):
-        kummer_genus(1, (1,), 5)
-    with pytest.raises(ValueError):
-        kummer_genus(5, (1, 1, 1), 5)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.permutations([1, 2, 2, 3, 1, 2]))
-def test_kummer_invariant_under_permutation(perm):
-    assert kummer_genus(4, tuple(perm), 5) == kummer_genus(4, (1, 2, 2, 3, 1, 2), 5)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=4))
-def test_kummer_ignores_zero_exponents(extra_zeros):
-    exps = (1, 2, 2) + (0,) * extra_zeros
-    assert kummer_genus(4, exps, 5) == 2
 
 
 # frozen candidate tables, keyed (e1, e2) -> g - 1; every one recomputed by

@@ -55,6 +55,16 @@ def test_equal_fields_give_equal_records_and_hashes(make, text):
     assert len({a, b}) == 1
 
 
+def test_polynomial_fields_cannot_be_assigned_or_deleted():
+    poly = FpPoly(5, (1, 2, 3))
+    for name in ("p", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(poly, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(poly, name)
+    assert poly == FpPoly(5, (1, 2, 3)) and poly.degree == 2
+
+
 # Two record classes with the same slots: equal values must not make their records equal.
 class _Left(Record):
     __slots__ = ("a", "b")
