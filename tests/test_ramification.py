@@ -5,6 +5,8 @@ import pytest
 from oracles import UnboundedInstanceError, hurwitz_genus_reference, shipped_facts, solve_branch_data
 
 from curvebound.classical import GroupFacts
+from curvebound.fppoly import FpPoly
+from curvebound.prank import CurveModel, UnsupportedModelError
 from curvebound.ramification import (
     case_i_ii_coefficient,
     deuring_shafarevich,
@@ -109,6 +111,14 @@ def test_deuring_shafarevich_instances():
         deuring_shafarevich(6, 1, [])  # not a prime power
     with pytest.raises(ValueError):
         deuring_shafarevich(9, 1, [5])  # orbit size must divide the order
+
+
+def test_kummer_genus_errors():
+    # the Kummer genus formula needs a cover degree m >= 2 prime to p
+    with pytest.raises(UnsupportedModelError):
+        CurveModel(1, FpPoly(5, (0, 1)), 5)
+    with pytest.raises(UnsupportedModelError):
+        CurveModel(5, FpPoly(5, (0, -1, 0, 1)), 5)  # x^3 - x, three simple roots
 
 
 # frozen candidate tables, keyed (e1, e2) -> g - 1; every one recomputed by
