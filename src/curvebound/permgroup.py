@@ -8,18 +8,25 @@ stabilizer that come from (point, generator) pairs it had not seen.  Adding
 a generator extends the base point's orbit: the new generator is applied to
 the old points and every generator to the new ones.  Each Schreier
 generator that is not yet a member passes down to the stabilizer, so every
-level generates exactly the stabilizer of its base point.  Point stabilizers,
-normalizers (stabilizers of an element set under conjugation) and subgroup
-class sizes (orbit lengths) come from the same routine.  Each conjugation
-orbit of subgroups is computed once per group: the normalizer of any other
-point of the orbit is a conjugate of the first one's.  Order and membership
-are derived from the chain.  A Sylow subgroup grows by the least p-element
-of the group's sorted elements that normalizes it and lies outside it; the
-p-subgroups inside it are chains grown one generator at a time, and
-simplicity is decided by normal closures of elements of prime order in
-Sylow centres.  No group fact is ever read from a table.  Element scans,
-sifts and orbits compose by ``bytes.translate`` (see ``perm``); the inverse
-table of a transversal element is made once, when its point joins the orbit.
+level generates exactly the stabilizer of its base point.  The stabilizer of
+the base point is the next level, and that of another point of its orbit is
+the next level conjugated by the transversal element that carries the base
+point there: the conjugate's chain is read off level by level, and nothing
+is sifted.  The stabilizers of other points, normalizers (stabilizers of an
+element set under conjugation) and subgroup class sizes (orbit lengths) come
+from the orbit routine; an orbit's stabilizer takes its Schreier generators
+only until it reaches the order |G| / |orbit|.  Each conjugation orbit of
+subgroups is computed once per group: the normalizer of any other point of
+the orbit is the first one's conjugated chain.  The order is read off the
+chain, and a membership test strips the element through it level by level,
+stopping at the first image outside an orbit.  A Sylow subgroup grows by
+the least p-element of the group's sorted elements that normalizes it and
+lies outside it; the p-subgroups inside it are chains grown one generator
+at a time, and simplicity is decided by normal closures of elements of
+prime order in Sylow centres.  No group fact is ever read from a table.  Element scans,
+membership tests and orbits compose by ``bytes.translate`` (see ``perm``);
+the inverse table of a transversal element is made once, when its point
+joins the orbit.
 
 A group's generators and chain are fixed once it is constructed.  Three
 caches are filled on first use, and an entry once written never changes:
@@ -43,6 +50,7 @@ from .perm import DegreeMismatchError, Permutation
 # degree + 63 B, and their order table at most 87 B more: about 406 B each at degree 256.
 ELEMENT_SCAN_CAP = 2**30 // 406  # 2,644,684 elements: one group's scan stays under 1 GiB
 _new = bytes.__new__  # a Permutation from images that are one by construction, without the check
+_IDENTITY = bytes(range(256))  # a residue g of degree n is the identity iff it is a prefix of this
 
 
 class SizeCapExceededError(ValueError):
@@ -154,21 +162,19 @@ class PermGroup:
     def order(self) -> int:
         return self._order
 
-    def sift(self, g: Permutation) -> Permutation:
-        """Strip g through the stabilizer chain; identity iff g is a member."""
+    def __contains__(self, g: Permutation) -> bool:
+        """Strip g through the stabilizer chain: a member iff every level has its
+        base point's image in the orbit and the residue is the identity."""
         if len(g) != self.degree:
             raise DegreeMismatchError(f"degree {len(g)} != group degree {self.degree}")
         level = self
         while level._stabilizer is not None:
             inverse = level._inverses.get(g[level._base_point])
             if inverse is None:
-                break
+                return False
             g = g.translate(inverse)
             level = level._stabilizer
-        return _new(Permutation, g)
-
-    def __contains__(self, g: Permutation) -> bool:
-        return self.sift(g).is_identity()
+        return _IDENTITY.startswith(g)
 
     def __len__(self):
         return self._order
@@ -198,12 +204,16 @@ class PermGroup:
         through g's table; with k = |⟨g⟩|, g^j has order k / gcd(j, k)."""
         if self._element_orders is None:
             orders, identity = dict.fromkeys(self.elements(), 0), self.identity()
+            patterns = {}  # k -> (k // gcd(j, k) for j = 1..k), the orders of g, g^2, ..., g^k
             for g in self.elements():
                 if not orders[g]:
                     powers, table = [g], g.table()
                     while powers[-1] != identity:
                         powers.append(powers[-1].translate(table))
-                    orders.update((x, len(powers) // gcd(j, len(powers))) for j, x in enumerate(powers, 1))
+                    k = len(powers)
+                    if k not in patterns:
+                        patterns[k] = tuple(k // gcd(j, k) for j in range(1, k + 1))
+                    orders.update(zip(powers, patterns[k]))
             self._element_orders = orders
         return self._element_orders
 
@@ -215,10 +225,59 @@ class PermGroup:
         return PermGroup(gens, self.degree)
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a point (0-based); for the base point, the chain's next level."""
+        """Stabilizer of a point (0-based), refused outside 0..degree-1.
+
+        For the base point b, the chain's next level.  For another point x of
+        b's orbit, that level conjugated by the transversal element t that
+        carries b to x: t^-1 G_b t = G_x.  Otherwise grown from x's orbit.
+        """
+        if not 0 <= point < self.degree:
+            raise ValueError(f"point {point} outside 0..{self.degree - 1}")
         if point == self._base_point:
             return self._stabilizer
-        return PermGroup(self._orbit(*self._root(point)), self.degree)
+        t = self._transversal.get(point)
+        if t is not None:
+            return self._stabilizer._conjugated(t)
+        transversal, inverses = self._root(point)
+        return self._root_stabilizer(transversal, self._orbit(transversal, inverses))
+
+    def _conjugated(self, t) -> "PermGroup":
+        """t^-1 G t with its chain read off this one, nothing sifted.
+
+        t^-1 G^(i) t is the pointwise stabilizer of t(b_0), ..., t(b_(i-1)) in
+        t^-1 G t, so every level keeps its order: its base point b becomes
+        t(b), and a transversal entry x -> u becomes t(x) -> t^-1 u t.
+        """
+        conjugate = PermGroup([], self.degree)
+        if self._stabilizer is not None:
+            conjugate.generators = tuple(g.conjugate(t) for g in self.generators)
+            conjugate._moves = tuple((g, g.table()) for g in conjugate.generators)
+            conjugate._base_point = t[self._base_point]
+            conjugate._transversal = {t[x]: u.conjugate(t) for x, u in self._transversal.items()}
+            conjugate._inverses = {x: u.inverse_table() for x, u in conjugate._transversal.items()}
+            conjugate._stabilizer = self._stabilizer._conjugated(t)
+            conjugate._order = self._order
+        return conjugate
+
+    def _root_stabilizer(self, transversal, schreier) -> "PermGroup":
+        """The stabilizer of an orbit's root, from the orbit and its sorted Schreier generators.
+
+        The group itself when the orbit is the root alone.  Otherwise the
+        generators are added in order until the chain reaches the order
+        |G| / |orbit|: after each ``_add`` the chain is complete for the group
+        generated so far, and by Lagrange a subgroup of the stabilizer with
+        the stabilizer's order is the whole stabilizer.
+        """
+        if len(transversal) == 1:
+            return self
+        order = self._order // len(transversal)
+        stabilizer = PermGroup([], self.degree)
+        for s in schreier:
+            if stabilizer._order == order:
+                break
+            if s not in stabilizer:
+                stabilizer._add(s)
+        return stabilizer
 
     # -- derived structure ---------------------------------------------------
 
@@ -299,9 +358,7 @@ class PermGroup:
         conjugation orbit of H was found from H0 and t carries H0 to H.
         """
         t, root = self._orbit_entry(subgroup)
-        if t.is_identity():
-            return root
-        return PermGroup([n.conjugate(t) for n in root.generators], self.degree)
+        return root if t.is_identity() else root._conjugated(t)
 
     def conjugacy_class_size_of_subgroup(self, subgroup: "PermGroup") -> int:
         """Number of G-conjugates of H: |G| / |N_G(H)|, its conjugation-orbit length."""
@@ -312,7 +369,7 @@ class PermGroup:
         key = frozenset(subgroup.elements())
         if key not in self._normalizers:
             transversal, schreier = self._conjugates_of(subgroup)
-            root = self if len(transversal) == 1 else PermGroup(schreier, self.degree)
+            root = self._root_stabilizer(transversal, schreier)
             for conjugate, t in transversal.items():
                 self._normalizers[conjugate] = (t, root)
         return self._normalizers[key]

@@ -452,15 +452,53 @@ def test_later_generator_moving_a_point_below_the_base_point():
     assert grown.elements() == PermGroup(sequence, 6).elements()
 
 
+def orbit_of(group, point):
+    """Oracle: the orbit of a point under the generators, by a BFS over their images."""
+    orbit, frontier = {point}, [point]
+    while frontier:
+        frontier = [g(y) for y in frontier for g in group.generators if g(y) not in orbit]
+        orbit.update(frontier)
+    return orbit
+
+
 def check_point_stabilizers(group):
-    """The base point's stabilizer is the chain's next level; every other point's is built afresh."""
+    """Every point's stabilizer against a fresh Schreier–Sims build from that point's own orbit.
+
+    The base point's stabilizer is the chain's next level and a point the
+    group fixes has the group itself; at every point the stabilizer's order
+    times the orbit's length is |G|.
+    """
     for point in range(group.degree):
         stab = group.point_stabilizer(point)
         fresh = PermGroup(group._orbit(*group._root(point)), group.degree)
+        orbit = orbit_of(group, point)
         assert stab.order() == fresh.order()
+        assert stab.order() * len(orbit) == group.order()
         assert stab.elements() == fresh.elements()
         assert (stab is group._stabilizer) == (point == group._base_point)
-        assert (stab is group.point_stabilizer(point)) == (point == group._base_point)
+        assert (stab is group) == (len(orbit) == 1)
+        assert (stab is group.point_stabilizer(point)) == (point == group._base_point or len(orbit) == 1)
+
+
+def check_conjugated_chains(group, seed):
+    """The stabilizer of every base-orbit point, and the normalizer of every conjugate of one
+    Sylow subgroup, are full chains: checked against the closure of G and 200 strangers."""
+    closure = closure_elements(list(group.generators), group.degree)
+    rng = random.Random(seed)
+    strangers = [Permutation(rng.sample(range(group.degree), group.degree)) for _ in range(200)]
+    for x in group._transversal:
+        expected = {g for g in closure if g(x) == x}
+        check_chain_against_closure(group.point_stabilizer(x), expected, sorted(expected) + strangers)
+    for p, _ in factorize(group.order())[-1:]:  # the largest prime; none for the trivial group
+        sylow = group.sylow_subgroup(p)
+        conjugates = {}
+        for g in sorted(closure):
+            conjugates.setdefault(frozenset(h.conjugate(g) for h in sylow.elements()), g)
+        assert len(conjugates) == group.conjugacy_class_size_of_subgroup(sylow)
+        for g in conjugates.values():
+            sub = group.subgroup([h.conjugate(g) for h in sylow.generators])
+            expected = brute_normalizer(closure, sub)
+            check_chain_against_closure(group.normalizer(sub), expected, sorted(expected) + strangers)
 
 
 @pytest.mark.parametrize("gens", RANDOM_SETS)
@@ -473,6 +511,43 @@ def test_point_stabilizers_sporadic(name, request):
     group = request.getfixturevalue(name)
     assert group.point_stabilizer(group._base_point) is group._stabilizer
     check_point_stabilizers(group)
+
+
+@pytest.mark.parametrize("gens", RANDOM_SETS)
+def test_conjugated_chains_random_groups(gens):
+    check_conjugated_chains(PermGroup(gens, gens[0].degree), gens[0].degree)
+
+
+@pytest.mark.parametrize("name", ["alt7", "m11"])
+def test_conjugated_chains_sporadic(name, request):
+    check_conjugated_chains(request.getfixturevalue(name), 25)
+
+
+@pytest.mark.parametrize("name", ["alt7", "m11"])
+def test_conjugated_chains_run_no_orbit_and_sift_nothing(name, monkeypatch):
+    group = load_group(name)
+    sylow = group.sylow_subgroup(max(p for p, _ in factorize(group.order())))
+    g = next(g for g in group.elements() if any(h.conjugate(g) not in sylow for h in sylow.generators))
+    conj = group.subgroup([h.conjugate(g) for h in sylow.generators])
+    root = group.normalizer(sylow)
+    calls = []
+    for method in ("_orbit", "_add", "__contains__"):
+        original = getattr(PermGroup, method)
+        monkeypatch.setattr(PermGroup, method, lambda self, *args, original=original, method=method:
+                            calls.append(method) or original(self, *args))
+    stabilizers = {x: group.point_stabilizer(x) for x in group._transversal}
+    normalizer = group.normalizer(conj)
+    assert calls == []
+    assert not group._orbit_entry(conj)[0].is_identity()
+    assert normalizer.order() == root.order()
+    assert all(stab.order() * len(group._transversal) == group.order() for stab in stabilizers.values())
+
+
+@pytest.mark.parametrize("point", [11, 99, -1, 300])
+def test_point_stabilizer_refuses_points_outside_the_degree(m11, point):
+    # Past the degree, the 256-byte tables read as the identity: every generator would fix the point.
+    with pytest.raises(ValueError):
+        m11.point_stabilizer(point)
 
 
 @pytest.mark.parametrize("gens", RANDOM_SETS)
