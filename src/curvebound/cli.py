@@ -266,7 +266,7 @@ def cmd_prank(curve: str, p: int, oracle: bool = False) -> Report:
     from . import prank
     try:
         model = prank.parse_curve(curve, p)
-    except (ValueError, prank.UnsupportedModelError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc))
     report = Report(command=["prank", "--p", str(p), "--curve", curve]
                     + (["--oracle"] if oracle else []),
@@ -274,35 +274,24 @@ def cmd_prank(curve: str, p: int, oracle: bool = False) -> Report:
     genus = prank.normalization_genus(model)
     report.add("model genus", "holds", genus=genus, normalization_genus=genus,
                m=model.m, p=p, f=repr(model.f))
-    rank = None
-    try:
-        matrix = prank.cartier_matrix(model)
-        rank = prank.stable_rank(matrix)
-        report.add("cartier operator", "holds",
-                   matrix=[list(r) for r in matrix.entries],
-                   basis=[list(b) for b in matrix.basis],
-                   stable_rank=rank,
-                   ordinary=(rank == genus))
-    except prank.UnsupportedModelError as exc:
-        report.add("cartier operator", "unsupported", reason=str(exc))
+    matrix = prank.cartier_matrix(model)
+    rank = prank.stable_rank(matrix)
+    report.add("cartier operator", "holds",
+               matrix=[list(r) for r in matrix.entries],
+               basis=[list(b) for b in matrix.basis],
+               stable_rank=rank,
+               ordinary=(rank == genus))
     if oracle:
         try:
             l_poly = prank.zeta_l_polynomial(model)
             zeta_rank = prank.l_polynomial_p_rank(l_poly, p)
-            agree = rank is not None and zeta_rank == rank
-            report.add("zeta point-count oracle",
-                       "agrees" if agree else ("holds" if rank is None else "fails"),
+            report.add("zeta point-count oracle", "agrees" if zeta_rank == rank else "fails",
                        zeta_p_rank=zeta_rank,
                        l_polynomial=list(l_poly))
         except prank.UnsupportedModelError as exc:
             report.add("zeta point-count oracle", "unsupported", reason=str(exc))
-    verdicts = {row["verdict"] for row in report.rows}
-    if "fails" in verdicts:
+    if any(row["verdict"] == "fails" for row in report.rows):
         report.verdict_summary = "fails"
-    elif rank is None:
-        report.verdict_summary = "unsupported"
-    else:
-        report.verdict_summary = "holds"
     return report
 
 

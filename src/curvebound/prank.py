@@ -42,8 +42,9 @@ class CurveModel(Record):
     The cover must be irreducible: no prime divisor of m may divide every
     multiplicity in the factorization of f.  Repeated factors are allowed
     (they arise when a characteristic-zero model degenerates mod p); the
-    genus, Cartier data and point counts all refer to the smooth model, see
-    ``normalization_genus`` and ``reduced_model``.
+    genus, Cartier data and point counts all refer to the smooth model, read
+    off the presented f: see ``normalization_genus`` and
+    ``differential_basis``.
     """
 
     __slots__ = ("m", "f", "p")
@@ -64,19 +65,6 @@ class CurveModel(Record):
             raise UnsupportedModelError("model has genus 0")
 
 
-def reduced_model(model: CurveModel) -> CurveModel:
-    """y^m = c prod a^(lam mod m) for f = c prod a^lam: the same curve, as
-    y -> y / prod a^(lam // m) is an isomorphism of function fields.  The
-    model itself when every lam is below m."""
-    parts = squarefree_decomposition(model.f)
-    if parts[-1][1] < model.m:  # parts are sorted by multiplicity
-        return model
-    reduced = FpPoly.constant(model.p, model.f.leading())
-    for a, lam in parts:
-        reduced = reduced * a ** (lam % model.m)
-    return CurveModel(model.m, reduced, model.p)
-
-
 def normalization_genus(model: CurveModel) -> int:
     """Genus of the smooth model, the quantity the point-count oracle sees.
 
@@ -93,41 +81,39 @@ def normalization_genus(model: CurveModel) -> int:
     return total // 2 + 1
 
 
-def differential_basis(model: CurveModel):
-    """Monomial basis (a, b) for x^(a-1) dx / y^b, validated against the genus.
+def differential_basis(model: CurveModel) -> dict:
+    """The regular differentials stratum by stratum, as {b: (c_b, n_b)}: the
+    basis is x^k c_b dx / y^b for 0 <= k < n_b, over the strata with n_b > 0.
 
-    Regularity gives each stratum y^b an interval of a.  The order at
-    infinity, b deg / gcd(m, deg) - a e_inf - 1, bounds a from above; over a
-    root x = 0 of index e, a e - 1 - b ord_y bounds it from below; over any
-    other root, e - 1 - b ord_y admits the whole stratum or none of it.  When
-    the monomials do not span the regular differentials (possible when a
-    multiplicity shares a factor with m), the model is refused rather than
-    approximated.
+    For f = c prod a^lam, c_b = prod a^floor(b lam / m) (Bouw, Compositio
+    Math. 126, 2001; Elkin, J. Algebra 327, 2011).  Over a root of a of index
+    e = m / gcd(m, lam), x - alpha has order e and y order lam e / m, so
+    c_b dx / y^b has order e - 1 - e {b lam / m} >= 0 there, the fractional
+    part being a multiple of 1/e below 1.  At infinity the order bounds
+    k + deg c_b + 1 by (b deg f - gcd(m, deg f)) / m.  The strata are the
+    eigenspaces of y -> zeta y, and the n_b sum to ``normalization_genus``.
+    On squarefree f every c_b is 1.
     """
     m, deg = model.m, model.f.degree
-    e_inf = m // gcd(m, deg)
-    branch = [(poly.coeffs == (0, 1), m // gcd(m, lam), lam // gcd(m, lam))
-              for poly, lam in squarefree_decomposition(model.f)]
-    basis = []
+    parts = squarefree_decomposition(model.f)
+    one = FpPoly.constant(model.p, 1)
+    strata = {}
     for b in range(1, m):
-        low, top = 1, (b * deg // gcd(m, deg) - 1) // e_inf
-        for at_zero, e, ord_y in branch:
-            if at_zero:
-                low = max(low, (b * ord_y + e) // e)
-            elif e - 1 < b * ord_y:
-                top = 0
-        basis.extend((a, b) for a in range(low, top + 1))
-    g = normalization_genus(model)
-    if len(basis) != g:
-        raise UnsupportedModelError(
-            f"monomial differentials span {len(basis)} of {g} dimensions; model not supported"
-        )
-    return tuple(basis)
+        c_b = one
+        for a, lam in parts:
+            if b * lam >= m:
+                c_b = c_b * a ** (b * lam // m)
+        n_b = (b * deg - gcd(m, deg)) // m - c_b.degree
+        if n_b > 0:
+            strata[b] = (c_b, n_b)
+    return strata
 
 
 class CartierMatrix(Record):
-    """Matrix of the Cartier operator on the ordered monomial basis: ``entries``
-    are its rows over GF(p), ``basis`` the (a, b) pairs of the differentials."""
+    """Matrix of the Cartier operator on the ordered basis of
+    ``differential_basis``: ``entries`` are its rows over GF(p), ``basis`` the
+    (a, b) pairs, b outer and a inner, with (a, b) standing for
+    x^(a-1) c_b dx / y^b."""
 
     __slots__ = ("p", "entries", "basis")
 
@@ -142,30 +128,46 @@ class CartierMatrix(Record):
 
 
 def cartier_matrix(model: CurveModel) -> CartierMatrix:
-    """Cartier action on the reduced model: the (a,b) column lists coefficients
-    over the basis.
+    """Cartier action on the presented model: the (a, b) column lists the
+    coefficients of the image of x^(a-1) c_b dx / y^b over the basis.
 
-    The basis differential x^(a-1) dx / y^b maps into the y^b' stratum,
-    b' = b/p (mod m), and its coefficient on x^(a'-1) dx / y^b' is the
-    coefficient of x^(a'p - a) in h_b = f^((b'p - b)/m); each h_b is computed
-    once.  For m = 2 on squarefree f this is the classical rule on the basis
-    x^(a-1) dx / y, 1 <= a <= (deg f - 1)//2, with h = f^((p-1)/2).
+    With b'p = b + mt, 1 / y^b = f^t / y^(b'p), so the image is
+    C(x^(a-1) h dx) / y^b' for h = c_b f^t, computed once per stratum, and
+    C(x^(a-1) h dx) = R dx with R_n = h_((n+1)p - a).  R is divided exactly
+    by c_b', and the quotient's coefficient of x^(a'-1) is the entry on
+    (a', b').  When c_b' = 1, as on squarefree f, the entry is h_(a'p - a)
+    itself; for m = 2 that is the classical rule with h = f^((p-1)/2).
     """
-    model = reduced_model(model)
     m, p, f = model.m, model.p, model.f
-    basis = differential_basis(model)
-    strata = {}
-    for i, (a, b) in enumerate(basis):
-        strata.setdefault(b, []).append((i, a))
+    strata = differential_basis(model)
+    offsets, basis = {}, []
+    for b, (_, n_b) in strata.items():
+        offsets[b] = len(basis)
+        basis.extend((a, b) for a in range(1, n_b + 1))
     p_inv = pow(p, -1, m)
     rows = [[0] * len(basis) for _ in basis]
-    for b, columns in strata.items():
+    for b, (c_b, n_b) in strata.items():
         b_prime = b * p_inv % m
+        if b_prime not in strata:
+            continue
+        c_prime, n_prime = strata[b_prime]
         h = f ** ((b_prime * p - b) // m)
-        for i, a_t in strata.get(b_prime, ()):
-            for j, a in columns:
-                rows[i][j] = h.coeff(a_t * p - a)
-    return CartierMatrix(p=p, entries=tuple(map(tuple, rows)), basis=basis)
+        if c_b.degree:
+            h = c_b * h
+        padded = (0,) * n_b + h.coeffs + (0,) * (n_prime * p)  # h_k at n_b + k
+        if not c_prime.degree:
+            # the entry on (a', b') is h_(a'p - a): over a = 1, ..., n_b that is
+            # h_(a'p - n_b), ..., h_(a'p - 1) reversed, one slice per row
+            for i, a_prime in enumerate(range(1, n_prime + 1), offsets[b_prime]):
+                rows[i][offsets[b]:offsets[b] + n_b] = padded[a_prime * p:a_prime * p + n_b][::-1]
+            continue
+        for j, a in enumerate(range(1, n_b + 1), offsets[b]):
+            column, rest = FpPoly(p, padded[n_b + p - a::p]).divmod(c_prime)
+            if rest.coeffs or len(column.coeffs) > n_prime:
+                raise ArithmeticError(f"the Cartier image of basis pair ({a}, {b}) is not regular")
+            for i, entry in enumerate(column.coeffs, offsets[b_prime]):
+                rows[i][j] = entry
+    return CartierMatrix(p=p, entries=tuple(map(tuple, rows)), basis=tuple(basis))
 
 
 def charpoly_mod_p(entries, p: int):

@@ -23,11 +23,9 @@ from curvebound.fppoly import FpPoly, field_tables, squarefree_decomposition
 from curvebound.prank import (
     ZETA_POINT_CAP,
     CartierMatrix,
-    CurveModel,
     UnsupportedModelError,
     _evaluate_log,
     cartier_matrix,
-    differential_basis,
     l_polynomial_p_rank,
     normalization_genus,
     stable_rank,
@@ -180,22 +178,39 @@ def rank_mod_p(mat, p):
     return rank
 
 
+def kummer_denominator(model, b: int):
+    """(c_b, v) with c_b the monic polynomial of greatest degree whose m-th
+    power divides f^b, found by trial division of f^b by the powers of each
+    squarefree part a of f, and v[a] the power of a in c_b."""
+    fb = model.f ** b
+    c_b, v = FpPoly.constant(model.p, 1), {}
+    for a, _ in squarefree_decomposition(model.f):
+        v[a] = 0
+        while (fb % a ** ((v[a] + 1) * model.m)).is_zero():
+            v[a] += 1
+        c_b = c_b * a ** v[a]
+    return c_b, v
+
+
 def regular_monomials(model):
-    """The (a, b), 1 <= a <= deg f and 0 < b < m, for which x^(a-1) dx / y^b has
-    no pole: its order is checked at the places over every root of f and at
-    infinity, one a at a time; a second route to ``differential_basis``."""
+    """The (a, b), 1 <= a <= deg f and 0 < b < m, for which x^(a-1) c_b dx / y^b
+    has no pole, c_b from ``kummer_denominator``: its order is checked at the
+    places over every root of f and at infinity, one a at a time; a second
+    route to ``differential_basis``."""
     m, deg = model.m, model.f.degree
     e_inf = m // gcd(m, deg)
     found = []
     for b in range(1, m):
+        c_b, v = kummer_denominator(model, b)
         for a in range(1, deg + 1):
-            orders = [-(a - 1) * e_inf - (e_inf + 1) + b * deg * e_inf // m]
+            orders = [-(a - 1 + c_b.degree) * e_inf - (e_inf + 1) + b * deg * e_inf // m]
             for poly, lam in squarefree_decomposition(model.f):
                 e, ord_y = m // gcd(m, lam), lam // gcd(m, lam)
+                at_root = (e - 1) + e * v[poly] - b * ord_y
                 if poly.coeffs[0] == 0:  # a place over x = 0, where x vanishes to order e
-                    orders.append((a - 1) * e + (e - 1) - b * ord_y)
+                    orders.append((a - 1) * e + at_root)
                 if poly.coeffs != (0, 1):  # a place over a root other than 0
-                    orders.append((e - 1) - b * ord_y)
+                    orders.append(at_root)
             if min(orders) >= 0:
                 found.append((a, b))
     return tuple(found)
@@ -222,35 +237,38 @@ def zeta_prank_oracle(model) -> int:
 
 
 def cartier_matrix_two_formulas(model) -> CartierMatrix:
-    """The Cartier matrix by two separate rules, one power of f per column, on
-    the model y^m = f / s^m, where s = prod a^(lam // m) over f = c prod a^lam.
+    """The Cartier matrix by two separate rules, one power of f per column.
 
-    For m = 2 the (i,j) entry is the coefficient c_(i*p - j) of f^((p-1)/2),
-    1 <= i, j <= g for the smooth genus g.  For m > 2 the column of
-    x^(a-1) dx / y^b is read off x^(a-1) f^((b'p-b)/m), b'p = b (mod m), with
-    b' found by search.
+    For m = 2 the rule is read on the model y^2 = f / s^2, where
+    s = prod a^(lam // 2) over f = c prod a^lam: the (i,j) entry is the
+    coefficient c_(i*p - j) of f^((p-1)/2), 1 <= i, j <= g for the smooth
+    genus g.  For m > 2 the column of x^(a-1) c_b dx / y^b, on the basis of
+    ``regular_monomials``, is read off x^(a-1) c_b f^((b'p-b)/m), b'p = b
+    (mod m), with b' found by search: its coefficients of x^(np - 1), n >= 1,
+    divided exactly by c_b'.
     """
-    m, p = model.m, model.p
-    s = FpPoly.constant(p, 1)
-    for a, lam in squarefree_decomposition(model.f):
-        s = s * a ** (lam // m)
-    f, rest = model.f.divmod(s ** m)
-    assert rest.is_zero()
-    if f != model.f:
-        model = CurveModel(m, f, p)
+    m, p, f = model.m, model.p, model.f
     if m == 2:
+        s = FpPoly.constant(p, 1)
+        for a, lam in squarefree_decomposition(f):
+            s = s * a ** (lam // 2)
+        f, rest = f.divmod(s ** 2)
+        assert rest.is_zero()
         g = normalization_genus(model)
         h = f ** ((p - 1) // 2)
         rows = tuple(tuple(h.coeff(i * p - j) for j in range(1, g + 1)) for i in range(1, g + 1))
         return CartierMatrix(p=p, entries=rows, basis=tuple((j, 1) for j in range(1, g + 1)))
-    basis = differential_basis(model)
+    basis = regular_monomials(model)
     rows = [[0] * len(basis) for _ in basis]
     for j, (a, b) in enumerate(basis):
         b_prime = next(bp for bp in range(1, m) if (bp * p) % m == b % m)
-        poly = FpPoly(p, (0,) * (a - 1) + (1,)) * f ** ((b_prime * p - b) // m)
+        poly = FpPoly(p, (0,) * (a - 1) + (1,)) * kummer_denominator(model, b)[0] * f ** ((b_prime * p - b) // m)
+        image = FpPoly(p, [poly.coeff(n * p - 1) for n in range(1, poly.degree // p + 2)])
+        column, rest = image.divmod(kummer_denominator(model, b_prime)[0])
+        assert rest.is_zero() and column.degree < sum(b_t == b_prime for _, b_t in basis)
         for i, (a_t, b_t) in enumerate(basis):
             if b_t == b_prime:
-                rows[i][j] = poly.coeff(a_t * p - 1)
+                rows[i][j] = column.coeff(a_t - 1)
     return CartierMatrix(p=p, entries=tuple(tuple(r) for r in rows), basis=basis)
 
 

@@ -88,6 +88,25 @@ def test_published_schema_rejects_an_agrees_summary(capsys):
         jsonschema.validate(doc, schema)
 
 
+def test_published_schema_rejects_an_unsupported_summary(capsys):
+    """Only the zeta row can be unsupported (here genus 4, above its cap); the
+    Cartier row always answers, so the summary holds or fails."""
+    schema_path = os.path.join(os.path.dirname(permgroup.__file__), "data", "report-schema-v1.json")
+    with open(schema_path) as handle:
+        schema = json.load(handle)
+    code, out, _ = run(["prank", "--p", "3", "--curve", "y^2 = x^9 + x + 1", "--oracle", "--format", "json"],
+                       capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict_summary"] == "holds"
+    jsonschema.validate(doc, schema)
+    verdicts = {row["anchor"]: row["verdict"] for row in doc["rows"]}
+    assert verdicts["cartier operator"] == "holds"
+    assert verdicts["zeta point-count oracle"] == "unsupported"  # a row may still be unsupported
+    doc["verdict_summary"] = "unsupported"
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+
+
 def test_csv_output_quotes_rfc4180(capsys):
     code, out, _ = run(["enumerate", "--group", "alt7", "--char", "5", "--format", "csv"], capsys)
     assert code == 0
