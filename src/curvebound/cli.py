@@ -221,8 +221,8 @@ def cmd_group_audit(name: str) -> Report:
 def cmd_bounds(chain: str, order: int | None = None, genus: int | None = None) -> Report:
     from . import bounds
     if order is not None or genus is not None:
-        if order is None or genus is None:
-            raise UsageError("classification needs both --order and --genus")
+        if chain != "main" or order is None or genus is None:
+            raise UsageError("classification is: bounds main --order N --genus g")
         try:
             labels = bounds.classify(order, genus)
         except ValueError as exc:
@@ -290,6 +290,8 @@ def cmd_prank(curve: str, p: int, oracle: bool = False) -> Report:
                        l_polynomial=list(l_poly))
         except prank.UnsupportedModelError as exc:
             report.add("zeta point-count oracle", "unsupported", reason=str(exc))
+        except ArithmeticError as exc:
+            report.add("zeta point-count oracle", "fails", reason=str(exc))
     if any(row["verdict"] == "fails" for row in report.rows):
         report.verdict_summary = "fails"
     return report
@@ -315,7 +317,7 @@ def build_parser():
     ga.add_argument("--format", default="text", choices=("json", "csv", "text"))
 
     bo = sub.add_parser("bounds", help="audit the inequality-chain registry")
-    bo.add_argument("chain", help="a chain id or 'all'")
+    bo.add_argument("chain", help="a chain id or 'all'; 'main' with --order and --genus")
     bo.add_argument("--order", type=int, help="classify this group order instead")
     bo.add_argument("--genus", type=int, help="genus for classification")
     bo.add_argument("--format", default="text", choices=("json", "csv", "text"))

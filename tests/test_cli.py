@@ -88,13 +88,20 @@ def test_published_schema_rejects_an_agrees_summary(capsys):
         jsonschema.validate(doc, schema)
 
 
-def test_published_schema_rejects_an_unsupported_summary(capsys):
-    """Only the zeta row can be unsupported (here genus 4, above its cap); the
-    Cartier row always answers, so the summary holds or fails."""
+def test_published_schema_rejects_an_unsupported_summary(monkeypatch, capsys):
+    """Only the zeta row can be unsupported (here genus 5 at p = 31, whose tower is
+    above the point cap, refused before any count); the Cartier row always
+    answers, so the summary holds or fails."""
+    from curvebound import prank
+
+    def no_count(model, r):
+        raise AssertionError(f"counted points over GF(p^{r})")
+
+    monkeypatch.setattr(prank, "count_points", no_count)
     schema_path = os.path.join(os.path.dirname(permgroup.__file__), "data", "report-schema-v1.json")
     with open(schema_path) as handle:
         schema = json.load(handle)
-    code, out, _ = run(["prank", "--p", "3", "--curve", "y^2 = x^9 + x + 1", "--oracle", "--format", "json"],
+    code, out, _ = run(["prank", "--p", "31", "--curve", "y^2 = x^11 + x + 1", "--oracle", "--format", "json"],
                        capsys)
     doc = json.loads(out)
     assert code == 0 and doc["verdict_summary"] == "holds"
@@ -105,6 +112,30 @@ def test_published_schema_rejects_an_unsupported_summary(capsys):
     doc["verdict_summary"] = "unsupported"
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, schema)
+
+
+def test_zeta_row_agrees_above_genus_3(capsys):
+    """y^2 = x^9 + x + 1 over GF(3) has genus 4; its tower, up to 3^5, is inside the point cap."""
+    code, out, _ = run(["prank", "--p", "3", "--curve", "y^2 = x^9 + x + 1", "--oracle", "--format", "json"],
+                       capsys)
+    rows = {row["anchor"]: row for row in json.loads(out)["rows"]}
+    assert code == 0 and rows["model genus"]["genus"] == 4
+    assert rows["zeta point-count oracle"]["verdict"] == "agrees"
+    assert rows["zeta point-count oracle"]["zeta_p_rank"] == rows["cartier operator"]["stable_rank"] == 0
+
+
+def test_a_failed_oracle_self_check_fails_the_report(monkeypatch, capsys):
+    """One point too many over GF(3^3), the field that verifies L(t), is a failed
+    verdict (exit 1), not an unsupported one."""
+    from curvebound import prank
+    honest = prank.count_points
+    monkeypatch.setattr(prank, "count_points", lambda model, r: honest(model, r) + (r == 3))
+    code, out, err = run(["prank", "--p", "3", "--curve", "y^2 = x^5 - x", "--oracle", "--format", "json"], capsys)
+    doc = json.loads(out)
+    zeta = {row["anchor"]: row for row in doc["rows"]}["zeta point-count oracle"]
+    assert (code, err, doc["verdict_summary"]) == (1, "", "fails")
+    assert zeta == {"anchor": "zeta point-count oracle", "verdict": "fails",
+                    "reason": "point count over GF(p^3) is 29, L-polynomial predicts 28"}
 
 
 def test_csv_output_quotes_rfc4180(capsys):
@@ -252,6 +283,16 @@ def test_bounds_unknown_chain(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: unknown chain 'nosuch'")
+
+
+@pytest.mark.parametrize("argv", [["nonsense", "--order", "7920", "--genus", "26"],
+                                  ["all", "--order", "7920", "--genus", "26"],
+                                  ["headline", "--genus", "26", "--order", "7920"],
+                                  ["main", "--order", "7920"]], ids=" ".join)
+def test_bounds_classification_takes_only_main(argv, capsys):
+    code, out, err = run(["bounds", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: classification is: bounds main --order N --genus g\n"
 
 
 def test_bounds_classification(capsys):

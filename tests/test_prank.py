@@ -30,7 +30,6 @@ from curvebound.arith import factorize, is_prime
 from curvebound.fppoly import FpPoly, field_tables, squarefree_decomposition
 from curvebound.prank import (
     PRIME_CAP,
-    ZETA_GENUS_CAP,
     ZETA_POINT_CAP,
     CartierMatrix,
     CurveModel,
@@ -695,8 +694,8 @@ def test_zeta_l_polynomials():
 
 
 def test_zeta_oracle_past_the_prime_cap_stays_under_the_point_cap():
-    # the largest field a parsed curve needs: the verification count at p = 31, genus 3
-    assert ZETA_POINT_CAP == PRIME_CAP ** (ZETA_GENUS_CAP + 1) == 923521
+    # the largest field the oracle builds for a parsed curve: GF(31^4), at p = 31 and genus 3 or 4
+    assert ZETA_POINT_CAP == PRIME_CAP ** 4 == 923521
     curve = CurveModel(2, FpPoly(211, (1, 3, 0, 0, 0, 1)), 211)
     start = time.perf_counter()
     rank = l_polynomial_p_rank(zeta_l_polynomial(curve), 211)
@@ -745,6 +744,38 @@ def test_cartier_agrees_with_zeta_on_random_non_squarefree():
     # every draw of smooth genus <= 3 is compared; the monomial basis refused 34
     # of the m = 3 draws and 89 of the m = 4 draws
     assert compared == {2: 88, 3: 128, 4: 144}, compared
+
+
+def test_cartier_agrees_with_zeta_above_genus_3():
+    """y^m = f of smooth genus 4 to 8 over GF(3), GF(5) and GF(7), m in {2, 3, 4},
+    f squarefree or with a repeated factor: every field of the oracle's tower,
+    the verification count's included, has at most 3^9 = 19683 elements."""
+    rng = random.Random(27)
+    by_genus = dict.fromkeys(range(4, 9), 0)
+    by_prime = dict.fromkeys((3, 5, 7), 0)
+    squarefree = 0
+    for _ in range(1000):
+        p = rng.choice((3, 5, 7))
+        m = rng.choice([m for m in (2, 3, 4) if m % p])
+        f = FpPoly(p, (rng.randrange(1, p),))
+        for _ in range(rng.randrange(1, 4)):
+            f = f * FpPoly(p, [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [1]) ** rng.choice((1, 1, 2, 3))
+        if f.degree > 16:
+            continue
+        try:
+            curve = CurveModel(m, f, p)
+        except UnsupportedModelError:
+            continue
+        g = normalization_genus(curve)
+        if g < 4 or p ** (g + 1) > 3**9:
+            continue
+        assert p_rank(curve) == zeta_prank_oracle(curve), (m, p, f.coeffs)
+        by_genus[g] += 1
+        by_prime[p] += 1
+        squarefree += all(mult == 1 for _, mult in squarefree_decomposition(f))
+    assert by_genus == {4: 47, 5: 14, 6: 25, 7: 11, 8: 5}, by_genus
+    assert by_prime == {3: 54, 5: 31, 7: 17}, by_prime
+    assert squarefree == 28  # and 74 with a repeated factor
 
 
 @pytest.mark.parametrize("p,degrees", [(3, (5, 6)), (5, (5, 6))])
@@ -863,6 +894,30 @@ def test_mixed_quintic_family_discrepancy():
         assert cartier != 2
 
 
-def test_zeta_caps():
-    with pytest.raises(UnsupportedModelError):
-        zeta_prank_oracle(model("y^2 = x^9 + x + 1", 3))  # genus 4 above the cap
+def test_zeta_caps(monkeypatch):
+    """The tower is the oracle's one cap: genus 4 at p = 3 (fields up to 3^5) is
+    answered, genus 5 at p = 31 (31^5 above the cap) is refused before any count."""
+    genus_4 = model("y^2 = x^9 + x + 1", 3)
+    assert normalization_genus(genus_4) == 4
+    assert zeta_prank_oracle(genus_4) == p_rank(genus_4) == 0
+    genus_5 = model("y^2 = x^11 + x + 1", 31)
+    assert normalization_genus(genus_5) == 5
+
+    def no_count(model, r):
+        raise AssertionError(f"counted points over GF(p^{r})")
+
+    monkeypatch.setattr(prank, "count_points", no_count)
+    with pytest.raises(UnsupportedModelError, match="field tower exceeds the point-count cap"):
+        zeta_l_polynomial(genus_5)
+
+
+@pytest.mark.parametrize("r_bad, message", [
+    (2, "non-integral"),  # s_2 + s_1 c_1 turns odd, so c_2 is not an integer
+    (3, r"point count over GF\(p\^3\) is 29, L-polynomial predicts 28"),  # the verification count
+])
+def test_zeta_oracle_raises_on_counts_that_contradict_each_other(r_bad, message, monkeypatch):
+    """y^2 = x^5 - x over GF(3), genus 2, with one point too many over GF(3^r_bad)."""
+    honest = prank.count_points
+    monkeypatch.setattr(prank, "count_points", lambda model, r: honest(model, r) + (r == r_bad))
+    with pytest.raises(ArithmeticError, match=message):
+        zeta_l_polynomial(model("y^2 = x^5 - x", 3))
