@@ -56,9 +56,6 @@ class FpPoly(Record):
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def __eq__(self, other):
         return isinstance(other, FpPoly) and self.p == other.p and self.coeffs == other.coeffs
 
@@ -68,11 +65,6 @@ class FpPoly(Record):
     def _check(self, other):
         if self.p != other.p:
             raise ValueError("mixed characteristics")
-
-    def __add__(self, other):
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FpPoly(self.p, [self.coeff(i) + other.coeff(i) for i in range(n)])
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -1,12 +1,13 @@
 """Reference routes and conveniences that only the tests call.
 
 None of these is on a reproduction path, so they live here rather than in
-the package: second routes to values the package computes (a schoolbook
-product and a left-fold power, field tables by polynomial arithmetic, point
-counts over every x, a p-rank read off point counts and one by squaring the
-Cartier matrix, the Cartier matrix by two rules), properties read off a
-stabilizer chain, the Hurwitz genus in exact rationals, and the exhaustive
-branch-data solver; and the shipped groups built once per test session.
+the package: a polynomial's coefficient read past its degree, second routes
+to values the package computes (a schoolbook product and a left-fold power,
+field tables by polynomial arithmetic, point counts over every x, a p-rank
+read off point counts and one by squaring the Cartier matrix, the Cartier
+matrix by two rules), properties read off a stabilizer chain, the Hurwitz
+genus in exact rationals, and the exhaustive branch-data solver; and the
+shipped groups built once per test session.
 """
 
 from array import array
@@ -33,6 +34,11 @@ from curvebound.prank import (
 )
 
 # -- polynomials over GF(p) ---------------------------------------------------
+
+
+def coeff(f: FpPoly, k: int) -> int:
+    """The coefficient of x^k in f, 0 past either end."""
+    return f.coeffs[k] if 0 <= k < len(f.coeffs) else 0
 
 
 def pow_foldl(f: FpPoly, k: int) -> FpPoly:
@@ -72,14 +78,15 @@ def evaluate(f: FpPoly, x: int) -> int:
 
 
 def shift_x(f: FpPoly, c: int) -> FpPoly:
-    """The polynomial f(x + c)."""
-    out = FpPoly(f.p, ())
+    """The polynomial f(x + c), summed coefficientwise over the powers (x + c)^i."""
+    out = [0] * len(f.coeffs)
     xc = FpPoly(f.p, (c, 1))
     power = FpPoly.constant(f.p, 1)
     for a in f.coeffs:
-        out = out + power * a
+        for k, b in enumerate(power.coeffs):
+            out[k] += a * b
         power = power * xc
-    return out
+    return FpPoly(f.p, out)
 
 
 def scale_x(f: FpPoly, u: int) -> FpPoly:
@@ -256,19 +263,19 @@ def cartier_matrix_two_formulas(model) -> CartierMatrix:
         assert rest.is_zero()
         g = normalization_genus(model)
         h = f ** ((p - 1) // 2)
-        rows = tuple(tuple(h.coeff(i * p - j) for j in range(1, g + 1)) for i in range(1, g + 1))
+        rows = tuple(tuple(coeff(h, i * p - j) for j in range(1, g + 1)) for i in range(1, g + 1))
         return CartierMatrix(p=p, entries=rows, basis=tuple((j, 1) for j in range(1, g + 1)))
     basis = regular_monomials(model)
     rows = [[0] * len(basis) for _ in basis]
     for j, (a, b) in enumerate(basis):
         b_prime = next(bp for bp in range(1, m) if (bp * p) % m == b % m)
         poly = FpPoly(p, (0,) * (a - 1) + (1,)) * kummer_denominator(model, b)[0] * f ** ((b_prime * p - b) // m)
-        image = FpPoly(p, [poly.coeff(n * p - 1) for n in range(1, poly.degree // p + 2)])
+        image = FpPoly(p, [coeff(poly, n * p - 1) for n in range(1, poly.degree // p + 2)])
         column, rest = image.divmod(kummer_denominator(model, b_prime)[0])
         assert rest.is_zero() and column.degree < sum(b_t == b_prime for _, b_t in basis)
         for i, (a_t, b_t) in enumerate(basis):
             if b_t == b_prime:
-                rows[i][j] = column.coeff(a_t - 1)
+                rows[i][j] = coeff(column, a_t - 1)
     return CartierMatrix(p=p, entries=tuple(tuple(r) for r in rows), basis=basis)
 
 

@@ -10,15 +10,20 @@ interpreter.
 """
 
 import ast
+import contextlib
+import io
+import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "curvebound"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "curvebound"
 
 
 def import_findings(source: str):
@@ -154,16 +159,22 @@ def test_allow_list_names_exist_and_still_have_no_reader():
     assert sorted(set(NO_SRC_CALLER) - set(unused_public_names(sources))) == []
 
 
+def fresh_stdout(script: str, *dirs) -> str:
+    """The stdout of ``script`` run by a fresh interpreter that imports from src/ and ``dirs``."""
+    path = os.pathsep.join([str(SRC.parent), *map(str, dirs)]
+                           + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
 def modules_loaded_by(code: str):
     """Every module a fresh interpreter holds after running ``code``, stdout silenced."""
     script = ("import contextlib, io, sys\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               + "".join(f"    {line}\n" for line in code.splitlines())
               + "print(' '.join(sys.modules))\n")
-    path = os.pathsep.join([str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, check=True)
-    return set(done.stdout.split())
+    return set(fresh_stdout(script).split())
 
 
 def layers(loaded):
@@ -220,3 +231,101 @@ def test_only_the_csv_format_loads_csv():
     argv = ["bounds", "main", "--order", "7920", "--genus", "26", "--format"]
     assert "csv" not in run_cli(argv + ["text"])
     assert "csv" in run_cli(argv + ["csv"])
+
+
+# -- reachability --------------------------------------------------------------
+
+README = TESTS.parent / "README.md"
+PERFBENCH = TESTS.parent / "perfbench"
+
+# Functions of src/ that no README command and no benchmark call runs, each
+# with the reason it stays.  The ast check above cannot see a dead dunder, or
+# a dead method whose name another class's attribute shares.
+NEVER_CALLED = {
+    "__init__.Record.__setattr__": "raises on a write to a field, which no path makes",
+    "__init__.Record.__delattr__": "raises on a delete of a field, which no path makes",
+    "__init__.Record._values": "value semantics README documents: read by Record's equality and hash",
+    "__init__.Record.__eq__": "value semantics README documents",
+    "__init__.Record.__hash__": "value semantics README documents",
+    "__init__.Record.__repr__": "value semantics README documents",
+    "perm.Permutation.__repr__": "value semantics README documents",
+    "permgroup.PermGroup.__len__": "perfbench's traced normalizer hook reads it",
+    "ramification.deuring_shafarevich": NO_SRC_CALLER["ramification.deuring_shafarevich"],
+}
+
+
+def readme_commands():
+    """The argv of each ``curvebound`` line of README's CLI block."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("curvebound ")]
+
+
+def reproduction_calls():
+    """``module:first line`` of each src/ function run by the README commands as JSON
+    (one more as CSV and one as text), the benchmark's seed-1 sporadic-audit and
+    prank-oracle command lines, and two passes of its seed-1 library-warm calls.
+
+    Meant for a fresh interpreter: a cache that earlier work warmed would skip
+    the functions that fill it.
+    """
+    sys.path.insert(0, str(PERFBENCH))
+    import worker
+    from inputs import INPUTS
+    from run import cold_calls
+
+    from curvebound import cli, permgroup
+
+    argvs = [argv + ["--format", "json"] for argv in readme_commands()]
+    argvs += [argvs[0][:-1] + ["csv"], argvs[0][:-1] + ["text"]]
+    argvs += [argv for workload in ("sporadic-audit", "prank-oracle")
+              for argv, _ in cold_calls(workload, INPUTS[workload](1))]
+    code = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in argvs:
+                cli.main(argv)
+        parents = {name: permgroup.load_group(name) for name in ("alt7", "m11")}
+        calls = worker.library_calls(INPUTS["library-warm"](1), parents)
+        for _ in range(2):  # the second pass hits the caches the first one filled
+            for _, thunk in calls:
+                thunk()
+    finally:
+        sys.setprofile(previous)
+    return sorted(f"{path.stem}:{c.co_firstlineno}" for c in code
+                  if (path := pathlib.Path(c.co_filename).resolve()).parent == SRC)
+
+
+def _functions(node, prefix=""):
+    """(qualified name, first line) of each ``def`` under ``node``, methods and nested
+    ``def``s included; the first line of a decorated function is its first decorator's."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, min([child.lineno] + [d.lineno for d in child.decorator_list])
+            yield from _functions(child, f"{prefix}{child.name}.<locals>.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_functions_finds_methods_nested_defs_and_decorated_lines():
+    source = "class A:\n    @property\n    def x(self):\n        def inner():\n            pass\n" \
+             "if True:\n    def f():\n        return lambda: 0\n"
+    assert sorted(_functions(ast.parse(source))) == [("A.x", 2), ("A.x.<locals>.inner", 4), ("f", 7)]
+
+
+def test_every_src_function_runs_on_a_reproduction_path():
+    called = set(json.loads(fresh_stdout(
+        "import json, test_imports\nprint(json.dumps(test_imports.reproduction_calls()))", TESTS)))
+    never = sorted(f"{path.stem}.{name}" for path in SRC.glob("*.py")
+                   for name, line in _functions(ast.parse(path.read_text()))
+                   if f"{path.stem}:{line}" not in called)
+    assert never == sorted(NEVER_CALLED)
