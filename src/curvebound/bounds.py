@@ -44,8 +44,9 @@ class PowerBound(Record):
     __slots__ = ("coeff", "shift", "num", "den", "mult")
 
     def __init__(self, coeff: Fraction, shift: int = 0, num: int = 1, den: int = 1, mult: int = 1):
-        if coeff <= 0 or den <= 0 or num < 0 or mult <= 0:
-            raise ValueError("power bound must be positive with non-negative exponent")
+        # a Fraction's denominator is positive; a float has no numerator and is refused
+        if getattr(coeff, "numerator", 0) <= 0 or den <= 0 or num < 0 or mult <= 0:
+            raise ValueError("power bound must have an exact positive coefficient and a non-negative exponent")
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "num", num)
@@ -104,6 +105,9 @@ class AuditReport(Record):
         object.__setattr__(self, "note", note)
 
 
+_TAIL_RELATION = {1: "reverses", -1: "persists", 0: "is exact equality"}
+
+
 def dominates(b1: PowerBound, b2: PowerBound, g_min: int, g_max=None) -> AuditReport:
     """Exact verdict that b1(g) < b2(g) for every integer g in [g_min, g_max].
 
@@ -116,15 +120,14 @@ def dominates(b1: PowerBound, b2: PowerBound, g_min: int, g_max=None) -> AuditRe
     if g_max is not None and g_max < g_min:
         raise ValueError("empty range")
     sign, tail, lo = _comparator(b1, b2)
-    checkpoints = {g_min}
-    if g_max is not None:
-        checkpoints.add(g_max)
+    checkpoints = (g_min,) if g_max is None or g_max == g_min else (g_min, g_max)
     if lo is not None:
-        checkpoints.update(c for c in range(lo - 1, lo + 3) if c >= g_min and (g_max is None or c <= g_max))
-    rel = {1: "reverses", -1: "persists", 0: "is exact equality"}[tail]
-    note = f"tail: exponents {b1.num}/{b1.den} vs {b2.num}/{b2.den}, dominance {rel} at infinity"
+        extra = [c for c in range(lo - 1, lo + 3) if c > g_min and (g_max is None or c < g_max)]
+        if extra:
+            checkpoints = sorted({*checkpoints, *extra})
+    note = f"tail: exponents {b1.num}/{b1.den} vs {b2.num}/{b2.den}, dominance {_TAIL_RELATION[tail]} at infinity"
     good = None
-    for c in sorted(checkpoints):
+    for c in checkpoints:
         if sign(c) >= 0:
             witness = c if good is None else _smallest_failure(sign, good, c)
             return AuditReport("fails", witness, note=note)
@@ -169,19 +172,13 @@ def _integer_kth_root(n: int, k: int) -> int:
         x = y
 
 
-def _poly_eval(coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _lagrange_root_bound(coeffs) -> int:
     """Integer upper bound for the real roots (integer coefficients, positive leading one)."""
     lead = coeffs[-1]
     n = len(coeffs) - 1
-    worst = max((_integer_kth_root(-c // lead + 1, n - i) + 1 for i, c in enumerate(coeffs[:-1]) if c < 0),
-                default=0)
+    # a radicand of 1 (|c| < lead) has root 1
+    worst = max((_integer_kth_root(r, n - i) + 1 if (r := -c // lead + 1) > 1 else 2
+                 for i, c in enumerate(coeffs[:-1]) if c < 0), default=0)
     return 2 * worst + 1
 
 
@@ -202,8 +199,12 @@ def poly_positive_from(coeffs, start: int) -> AuditReport:
     if coeffs[-1] <= 0:
         return AuditReport("fails", witness=None, note="non-positive leading coefficient")
     horizon = max(start, _lagrange_root_bound(coeffs) + 1)
+    highest_first = coeffs[::-1]
     for x in range(start, horizon + 1):
-        if _poly_eval(coeffs, x) <= 0:
+        acc = 0
+        for c in highest_first:  # Horner
+            acc = acc * x + c
+        if acc <= 0:
             return AuditReport("fails", witness=x)
     return AuditReport("holds")
 

@@ -33,7 +33,9 @@ class Permutation(bytes):
     __slots__ = ()
 
     def __init__(self, images):
-        if sorted(self) != list(range(len(self))):
+        # bytes() already refused values above 255, so the images are 0..n-1 iff
+        # deleting them all from 0..n-1 leaves nothing and n is at most 256
+        if len(self) > 256 or _IDENTITY[: len(self)].translate(None, self):
             raise ValueError(f"not a permutation of 0..{len(self) - 1}: {tuple(self)!r}")
 
     @property

@@ -147,7 +147,7 @@ class PermGroup:
                     else:
                         schreier.add(tg.translate(inverse))
             frontier, first = new, moves
-        schreier.discard(self.identity())
+        schreier.discard(_IDENTITY[: self.degree])
         return [_new(Permutation, s) for s in sorted(schreier)]
 
     def _chain(self):

@@ -27,7 +27,9 @@ POLY_DEGREE_CAP = 32
 # The zeta oracle counts over GF(p^r) for r <= g, refuses a model whose GF(p^g) is above the
 # point cap, and verifies GF(p^(g+1)) when it fits.  In-process on a 2-vCPU VM, y^2 = a squarefree
 # f at the costliest admitted towers takes 1.1-1.4 s (p = 7, genus 7; p = 31, genus 3 or 4),
-# 0.9-1.1 s (p = 3, genus 11), 0.6-0.8 s (p = 5, genus 8), up to 4.1 s at deg f = 32; RSS 22 MB.
+# 0.9-1.1 s (p = 3, genus 11), 0.6-0.8 s (p = 5, genus 8); RSS 22 MB.  A repeated factor costs
+# no more, since each count reduces the multiplicities mod m: y^2 = a^2 b at deg f = 32 (p = 31,
+# genus 3) takes 1.0-1.1 s.
 ZETA_POINT_CAP = PRIME_CAP**4
 
 
@@ -233,7 +235,10 @@ def count_points(model: CurveModel, r: int) -> int:
     m-th-power-residue count of f(x); a root of multiplicity lam contributes
     the solutions of w^d = u with d = gcd(m, lam) and u the unit part; the
     place at infinity follows the same rule with d = gcd(m, deg f) and the
-    leading coefficient as unit.
+    leading coefficient as unit.  Each d divides m, so the count is the same
+    for c prod a^(lam mod m) as for f = c prod a^lam: the two differ by an
+    m-th power, which keeps every gcd(m, lam), deg f mod m and the class of
+    each unit part mod d.  A multiplicity of at least m is reduced so.
 
     f has coefficients in GF(p), so Frobenius x -> x^p keeps the multiplicity
     of a root and raises the unit part to the p-th power: in logs, x0 -> p x0
@@ -245,33 +250,41 @@ def count_points(model: CurveModel, r: int) -> int:
     q = p**r
     if q > ZETA_POINT_CAP:
         raise UnsupportedModelError(f"field size {q} exceeds the point-count cap")
+    parts = squarefree_decomposition(f)
+    if parts[-1][1] >= m:
+        f = FpPoly.constant(p, f.leading())
+        for a, lam in parts:
+            f = f * a ** (lam % m)
     log, zech = field_tables(p, r)
     n = q - 1
     # Hasse derivatives D^k f, whose values at x0 are the Taylor coefficients
     # of f(x0 + t), with coefficients as logs
     derivatives = [[log[comb(j, k) * c % p] for j, c in enumerate(f.coeffs) if j >= k]
                    for k in range(f.degree + 1)]
-    total = 0
+    # x = 0: the multiplicity is the index of f's first nonzero coefficient, the unit part that coefficient
+    lam = next(k for k, c in enumerate(f.coeffs) if c)
+    d = gcd(m, lam, n)
+    total = d if log[f.coeffs[lam]] % d == 0 else 0
+    unramified = gcd(m, n)
     for x0, size in _frobenius_orbits(p, n):
-        # the multiplicity lam of x0 as a root, and the unit part u of f there
-        for lam, coeffs in enumerate(derivatives):
-            u = _evaluate_log(coeffs, x0, zech, n)
-            if u >= 0:
-                break
-        d = gcd(gcd(m, lam), n)
+        u, d = _evaluate_log(derivatives[0], x0, zech, n), unramified
+        if u < 0:  # a root: its multiplicity lam and the unit part u there
+            lam = 1
+            while (u := _evaluate_log(derivatives[lam], x0, zech, n)) < 0:
+                lam += 1
+            d = gcd(m, lam, n)
         if u % d == 0:
             total += size * d
-    dd = gcd(gcd(m, f.degree), n)
+    dd = gcd(m, f.degree, n)
     total += dd if log[f.leading()] % dd == 0 else 0
     return total
 
 
 def _frobenius_orbits(p: int, n: int):
-    """(x0, size): zero (x0 = -1) on its own, then the least log x0 of each
-    cyclotomic coset of p mod n, the orbit of x0 under x -> x^p.  A log is
-    passed over as soon as its walk around the coset meets a smaller one, so
-    nothing the size of the field is stored."""
-    yield -1, 1
+    """(x0, size): the least log x0 of each cyclotomic coset of p mod n, the
+    orbit of a nonzero x under x -> x^p.  A log is passed over as soon as its
+    walk around the coset meets a smaller one, so nothing the size of the
+    field is stored."""
     for x0 in range(n):
         size, y = 1, x0 * p % n
         while y > x0:
@@ -282,16 +295,17 @@ def _frobenius_orbits(p: int, n: int):
 
 
 def _evaluate_log(coeffs, x0, zech, n):
-    """Horner evaluation with Zech addition; elements are logs, -1 for zero."""
+    """Horner evaluation at the nonzero x of log x0, with Zech addition; the
+    coefficients and the value are logs, -1 for zero."""
     acc = -1
     for c in reversed(coeffs):
-        if acc >= 0:
-            acc = -1 if x0 < 0 else (acc + x0) % n
         if acc < 0:
             acc = c
-        elif c >= 0:
-            z = zech[(c - acc) % n]
-            acc = -1 if z < 0 else (acc + z) % n
+        elif c < 0:
+            acc = (acc + x0) % n
+        else:  # acc x + c, where acc x has log acc + x0
+            z = zech[(c - acc - x0) % n]
+            acc = -1 if z < 0 else (acc + x0 + z) % n
     return acc
 
 

@@ -142,7 +142,7 @@ def count_points_every_x(model, r: int) -> int:
     total = 0
     for x0 in range(-1, n):
         for lam, coeffs in enumerate(derivatives):
-            u = _evaluate_log(coeffs, x0, zech, n)
+            u = coeffs[0] if x0 < 0 else _evaluate_log(coeffs, x0, zech, n)  # at x = 0, the constant term
             if u >= 0:
                 break
         d = gcd(gcd(m, lam), n)

@@ -217,6 +217,23 @@ def test_criterion_6b_zeta_oracle_at_the_tower_cap():
     print(f"\nPASS criterion 6b: zeta oracle at p = 7, genus 7 agrees with Cartier ({elapsed:.2f}s)")
 
 
+def test_criterion_6b_zeta_oracle_on_a_repeated_factor_at_deg_32():
+    # y^2 = a^2 b with deg a = 12 and deg b = 8: deg f = 32 at genus 3, verified over
+    # GF(31^4); each count runs on b, since a^2 is a square: 1.0-1.1 s measured on a 2-vCPU VM
+    a = FpPoly(31, (2, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1))
+    b = FpPoly(31, (1, 2, 3, 4, 5, 6, 7, 8, 1))
+    f = a * a * b
+    m = parse_curve("y^2 = " + " + ".join(f"{c}*x^{k}" for k, c in enumerate(f.coeffs)), 31)
+    assert squarefree_decomposition(m.f) == ((b, 1), (a, 2))
+    assert m.f.degree == 32 and normalization_genus(m) == 3 and 31**4 <= ZETA_POINT_CAP
+    start = time.perf_counter()
+    gamma = zeta_prank_oracle(m)
+    elapsed = time.perf_counter() - start
+    assert gamma == p_rank(m) == 3
+    assert elapsed < 3.2
+    print(f"\nPASS criterion 6b: zeta oracle at p = 31, deg f = 32, genus 3 agrees with Cartier ({elapsed:.2f}s)")
+
+
 def test_criterion_7_ramification_suite():
     start = time.perf_counter()
 

@@ -356,6 +356,10 @@ def test_power_bound_validation():
         PowerBound(F(0))
     with pytest.raises(ValueError):
         PowerBound(F(1), den=0)
+    # refused when built, a float coefficient included
+    for coeff, kwargs in ((F(-1, 3), {}), (F(1), {"mult": 0}), (F(1), {"num": -1}), (0.5, {})):
+        with pytest.raises(ValueError):
+            PowerBound(coeff, **kwargs)
     with pytest.raises(ValueError):
         holds_at(HURWITZ, 10, 0)  # g + shift negative is refused at g < 1
 

@@ -119,6 +119,9 @@ def test_degree_is_at_most_256():
         Permutation.identity(257)
     with pytest.raises(ValueError):
         Permutation.identity(3).extended(257)
+    # 257 images that cover every byte value: bytes() takes them, the length test refuses them
+    with pytest.raises(ValueError):
+        Permutation(list(range(256)) + [0])
 
 
 def test_attributes_cannot_be_assigned():
