@@ -24,9 +24,9 @@ the least p-element of the group's sorted elements that normalizes it and
 lies outside it; the p-subgroups inside it are chains grown one generator
 at a time, and simplicity is decided by normal closures of elements of
 prime order in Sylow centres.  No group fact is ever read from a table.  Element scans,
-membership tests and orbits compose by ``bytes.translate`` (see ``perm``);
-the inverse table of a transversal element is made once, when its point
-joins the orbit.
+membership tests and orbits compose by ``bytes.translate`` (see ``perm``).
+A chain keeps its entries and their inverse tables as plain ``bytes``, made
+by translates of tables it already holds; only generators are ``Permutation``s.
 
 A group's generators and chain are fixed once it is constructed.  Three
 caches are filled on first use, and an entry once written never changes:
@@ -51,6 +51,7 @@ from .perm import DegreeMismatchError, Permutation
 ELEMENT_SCAN_CAP = 2**30 // 406  # 2,644,684 elements: one group's scan stays under 1 GiB
 _new = bytes.__new__  # a Permutation from images that are one by construction, without the check
 _IDENTITY = bytes(range(256))  # a residue g of degree n is the identity iff it is a prefix of this
+_blank = object.__new__  # _blank(PermGroup)._trivial(n): a new chain level, without __init__'s generator handling
 
 
 class SizeCapExceededError(ValueError):
@@ -74,22 +75,27 @@ class PermGroup:
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatchError(f"generator degree {g.degree} != {degree}")
+        self._trivial(degree)
+        for g in sorted(set(generators)):
+            if g not in self:
+                self._add(g)
+
+    # -- construction ------------------------------------------------------
+
+    def _trivial(self, degree):
+        """Store the fields of the trivial group of this degree and return self."""
         self.degree = degree
         self.generators = ()
-        self._moves = ()  # (generator, its table) for each generator, in order
+        self._moves = ()  # (generator, its table, its inverse's images) for each generator, in order
         self._base_point = None
-        self._transversal = {}  # orbit point -> element carrying the base point there
+        self._transversal = {}  # orbit point -> images of the element carrying the base point there
         self._inverses = {}  # orbit point -> that element's inverse table
         self._stabilizer = None
         self._order = 1
         self._elements = None
         self._element_orders = None
         self._normalizers = {}  # each subgroup element set met -> (t, N(H0)); see _orbit_entry
-        for g in sorted(set(generators)):
-            if g not in self:
-                self._add(g)
-
-    # -- construction ------------------------------------------------------
+        return self
 
     def _add(self, g):
         """Extend the group by g, a permutation outside it.
@@ -100,55 +106,53 @@ class PermGroup:
         stabilizer in turn.
         """
         self.generators += (g,)
-        self._moves += ((g, g.table()),)
+        self._moves += ((g, g.table(), g.inverse_table()[: self.degree]),)
         if self._stabilizer is None:
             self._base_point = g.min_moved()
-            self._stabilizer = PermGroup([], self.degree)
+            self._stabilizer = _blank(PermGroup)._trivial(self.degree)
             self._transversal, self._inverses = self._root(self._base_point)
         for s in self._orbit(self._transversal, self._inverses, len(self.generators) - 1):
             if s not in self._stabilizer:
-                self._stabilizer._add(s)
+                self._stabilizer._add(_new(Permutation, s))
         self._order = len(self._transversal) * self._stabilizer._order
 
     def _root(self, x):
         """The transversal and inverse tables of the orbit {x}, to extend with ``_orbit``."""
-        identity = self.identity()
-        return {x: identity}, {x: identity.inverse_table()}
+        return {x: _IDENTITY[: self.degree]}, {x: _IDENTITY}
 
     def _orbit(self, transversal, inverses, seen=0, act=None):
         """Close an orbit in place under the generators; return the new Schreier generators.
 
-        The generators act on points, or through ``act(y, g, table)``.
-        ``transversal[y]`` carries the orbit's root to y and ``inverses[y]``
-        is its inverse table.  The pairs of a point already in the orbit with
-        one of the first ``seen`` generators were handled before: the old
-        points meet only the later generators, and the BFS runs over every
-        generator from each point it adds.  By Schreier's lemma the elements
-        t_y g t_act(y,g)^-1, two translates each, of all pairs generate the
-        stabilizer of the root.  Those of the pairs handled here are returned
-        deduplicated, without the identity, and sorted, so every run builds
-        the same chain.
+        The generators act on points, or through ``act(y, g, table)``.  A new
+        point z = y^g gets the images of t_z = t_y g and the table of its
+        inverse g^-1 t_y^-1, one translate each.  The pairs of a point already in the
+        orbit with one of the first ``seen`` generators were handled before:
+        the old points meet only the later generators, and the BFS runs over
+        every generator from each point it adds.  By Schreier's lemma the
+        elements t_y g t_act(y,g)^-1 of all pairs generate the stabilizer of
+        the root.  Those of the pairs handled here are returned as images,
+        deduplicated, without the identity, and sorted.
         """
-        moves = self._moves
+        moves, pad = self._moves, _IDENTITY[self.degree :]
         frontier, first = list(transversal), moves[seen:]
         schreier = set()
         while frontier:
             new = []
             for y in frontier:
-                t = transversal[y]
-                for g, table in first:
+                t, t_inverse = transversal[y], inverses[y]
+                for g, table, g_inverse in first:
                     z = table[y] if act is None else act(y, g, table)
                     tg = t.translate(table)
                     inverse = inverses.get(z)
                     if inverse is None:
-                        transversal[z] = u = _new(Permutation, tg)
-                        inverses[z] = u.inverse_table()
+                        transversal[z] = tg
+                        inverses[z] = g_inverse.translate(t_inverse) + pad
                         new.append(z)
                     else:
                         schreier.add(tg.translate(inverse))
             frontier, first = new, moves
         schreier.discard(_IDENTITY[: self.degree])
-        return [_new(Permutation, s) for s in sorted(schreier)]
+        return sorted(schreier)
 
     def _chain(self):
         """The levels of the stabilizer chain that have a base point, top first."""
@@ -187,9 +191,9 @@ class PermGroup:
         if self._elements is None:
             if self._order > ELEMENT_SCAN_CAP:
                 raise SizeCapExceededError(f"order {self._order} exceeds {ELEMENT_SCAN_CAP}")
-            elems = [self.identity()]
+            elems, pad = [self.identity()], _IDENTITY[self.degree :]
             for level in reversed(list(self._chain())):
-                tables = [t.table() for t in level._transversal.values()]
+                tables = [t + pad for t in level._transversal.values()]
                 elems = [_new(Permutation, h.translate(table)) for h in elems for table in tables]
             elems.sort()
             self._elements = tuple(elems)
@@ -246,18 +250,24 @@ class PermGroup:
 
         t^-1 G^(i) t is the pointwise stabilizer of t(b_0), ..., t(b_(i-1)) in
         t^-1 G t, so every level keeps its order: its base point b becomes
-        t(b), and a transversal entry x -> u becomes t(x) -> t^-1 u t.
+        t(b), and each entry, generator and inverse u becomes t^-1 u t, the
+        images of t^-1 (made once) translated through u's table and t's.
         """
-        conjugate = PermGroup([], self.degree)
-        if self._stabilizer is not None:
-            conjugate.generators = tuple(g.conjugate(t) for g in self.generators)
-            conjugate._moves = tuple((g, g.table()) for g in conjugate.generators)
-            conjugate._base_point = t[self._base_point]
-            conjugate._transversal = {t[x]: u.conjugate(t) for x, u in self._transversal.items()}
-            conjugate._inverses = {x: u.inverse_table() for x, u in conjugate._transversal.items()}
-            conjugate._stabilizer = self._stabilizer._conjugated(t)
-            conjugate._order = self._order
-        return conjugate
+        n, pad = self.degree, _IDENTITY[self.degree :]
+        t_table, t_inverse = t + pad, bytes.maketrans(t, _IDENTITY[:n])[:n]
+        conjugate = top = _blank(PermGroup)._trivial(n)
+        for level in self._chain():
+            conjugate.generators = tuple(_new(Permutation, t_inverse.translate(table).translate(t_table))
+                                         for _, table, _ in level._moves)
+            conjugate._moves = tuple((g, g + pad, t_inverse.translate(inverse + pad).translate(t_table))
+                                     for g, (_, _, inverse) in zip(conjugate.generators, level._moves))
+            conjugate._base_point, conjugate._order = t[level._base_point], level._order
+            conjugate._transversal = {t[x]: t_inverse.translate(u + pad).translate(t_table)
+                                      for x, u in level._transversal.items()}
+            conjugate._inverses = {t[x]: t_inverse.translate(u).translate(t_table) + pad
+                                   for x, u in level._inverses.items()}
+            conjugate._stabilizer = conjugate = _blank(PermGroup)._trivial(n)  # link the next level, then fill it
+        return top
 
     def _root_stabilizer(self, transversal, schreier) -> "PermGroup":
         """The stabilizer of an orbit's root, from the orbit and its sorted Schreier generators.
@@ -271,12 +281,12 @@ class PermGroup:
         if len(transversal) == 1:
             return self
         order = self._order // len(transversal)
-        stabilizer = PermGroup([], self.degree)
+        stabilizer = _blank(PermGroup)._trivial(self.degree)
         for s in schreier:
             if stabilizer._order == order:
                 break
             if s not in stabilizer:
-                stabilizer._add(s)
+                stabilizer._add(_new(Permutation, s))
         return stabilizer
 
     # -- derived structure ---------------------------------------------------
@@ -344,7 +354,7 @@ class PermGroup:
         order.  The generators come in growth order.
         """
         p_part = p ** dict(factorize(self._order)).get(p, 0)
-        sylow = PermGroup([], self.degree)
+        sylow = _blank(PermGroup)._trivial(self.degree)
         while sylow._order < p_part:
             orders = self._orders()
             sylow._add(next(y for y in self.elements() if p_part % orders[y] == 0 and y not in sylow
@@ -358,7 +368,7 @@ class PermGroup:
         conjugation orbit of H was found from H0 and t carries H0 to H.
         """
         t, root = self._orbit_entry(subgroup)
-        return root if t.is_identity() else root._conjugated(t)
+        return root if _IDENTITY.startswith(t) else root._conjugated(t)
 
     def conjugacy_class_size_of_subgroup(self, subgroup: "PermGroup") -> int:
         """Number of G-conjugates of H: |G| / |N_G(H)|, its conjugation-orbit length."""
@@ -419,7 +429,7 @@ def p_subgroup_class_reps(group: PermGroup, p: int):
     """
     sylow = group.sylow_subgroup(p)
     found = {}
-    frontier = [PermGroup([], group.degree)]
+    frontier = [_blank(PermGroup)._trivial(group.degree)]
     while frontier:
         sub = frontier.pop()
         tried = set(sub.elements())

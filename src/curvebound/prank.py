@@ -257,20 +257,20 @@ def count_points(model: CurveModel, r: int) -> int:
             f = f * a ** (lam % m)
     log, zech = field_tables(p, r)
     n = q - 1
-    # Hasse derivatives D^k f, whose values at x0 are the Taylor coefficients
-    # of f(x0 + t), with coefficients as logs
-    derivatives = [[log[comb(j, k) * c % p] for j, c in enumerate(f.coeffs) if j >= k]
-                   for k in range(f.degree + 1)]
+    # Hasse derivatives D^k f as logs: D^k f(x0) is the t^k coefficient of f(x0 + t); k >= 1 built at roots only
+    def hasse(k):
+        return [log[comb(j, k) * c % p] for j, c in enumerate(f.coeffs) if j >= k]
+    f_logs = hasse(0)
     # x = 0: the multiplicity is the index of f's first nonzero coefficient, the unit part that coefficient
     lam = next(k for k, c in enumerate(f.coeffs) if c)
     d = gcd(m, lam, n)
     total = d if log[f.coeffs[lam]] % d == 0 else 0
     unramified = gcd(m, n)
     for x0, size in _frobenius_orbits(p, n):
-        u, d = _evaluate_log(derivatives[0], x0, zech, n), unramified
+        u, d = _evaluate_log(f_logs, x0, zech, n), unramified
         if u < 0:  # a root: its multiplicity lam and the unit part u there
             lam = 1
-            while (u := _evaluate_log(derivatives[lam], x0, zech, n)) < 0:
+            while (u := _evaluate_log(hasse(lam), x0, zech, n)) < 0:
                 lam += 1
             d = gcd(m, lam, n)
         if u % d == 0:

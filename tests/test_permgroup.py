@@ -23,6 +23,9 @@ from curvebound.permgroup import (
 )
 
 
+IDENTITY_TABLE = bytes(range(256))
+
+
 def sym(n):
     return PermGroup([Permutation.parse("(1,2)", n), Permutation.parse(f"({','.join(str(i) for i in range(1, n + 1))})", n)])
 
@@ -380,8 +383,14 @@ def check_chain_against_closure(group, closure, probes):
         assert set(level._stabilizer.elements()) == {x for x in level.elements() if x(point) == point}
         assert level._inverses.keys() == level._transversal.keys()
         for y, t in level._transversal.items():
-            assert t(point) == y
+            assert t[point] == y
             assert t.translate(level._inverses[y]) == group.identity()
+            assert (t + IDENTITY_TABLE[group.degree :]).translate(level._inverses[y]) == IDENTITY_TABLE
+        assert [g for g, _, _ in level._moves] == list(level.generators)
+        for g, table, inverse in level._moves:
+            assert table == g.table()
+            assert g.translate(inverse + IDENTITY_TABLE[group.degree :]) == group.identity()
+            assert inverse.translate(table) == group.identity()
         level = level._stabilizer
     assert level.order() == 1
 
@@ -470,7 +479,7 @@ def check_point_stabilizers(group):
     """
     for point in range(group.degree):
         stab = group.point_stabilizer(point)
-        fresh = PermGroup(group._orbit(*group._root(point)), group.degree)
+        fresh = PermGroup(map(Permutation, group._orbit(*group._root(point))), group.degree)
         orbit = orbit_of(group, point)
         assert stab.order() == fresh.order()
         assert stab.order() * len(orbit) == group.order()
@@ -481,12 +490,13 @@ def check_point_stabilizers(group):
 
 
 def check_conjugated_chains(group, seed):
-    """The stabilizer of every base-orbit point, and the normalizer of every conjugate of one
-    Sylow subgroup, are full chains: checked against the closure of G and 200 strangers."""
+    """The stabilizer of every point (conjugated from the chain on the base orbit, grown by
+    ``_root_stabilizer`` off it), and the normalizer of every conjugate of one Sylow
+    subgroup, are full chains: checked against the closure of G and 200 strangers."""
     closure = closure_elements(list(group.generators), group.degree)
     rng = random.Random(seed)
     strangers = [Permutation(rng.sample(range(group.degree), group.degree)) for _ in range(200)]
-    for x in group._transversal:
+    for x in range(group.degree):
         expected = {g for g in closure if g(x) == x}
         check_chain_against_closure(group.point_stabilizer(x), expected, sorted(expected) + strangers)
     for p, _ in factorize(group.order())[-1:]:  # the largest prime; none for the trivial group
@@ -538,9 +548,35 @@ def test_conjugated_chains_run_no_orbit_and_sift_nothing(name, monkeypatch):
     stabilizers = {x: group.point_stabilizer(x) for x in group._transversal}
     normalizer = group.normalizer(conj)
     assert calls == []
-    assert not group._orbit_entry(conj)[0].is_identity()
+    assert group._orbit_entry(conj)[0] != group.identity()
     assert normalizer.order() == root.order()
     assert all(stab.order() * len(group._transversal) == group.order() for stab in stabilizers.values())
+
+
+STANDARD_GENERATORS = {"alt7": ["(1,2,3)", "(1,2,3,4,5,6,7)"],
+                       "m11": ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)"]}
+
+
+@pytest.mark.parametrize("name", ["alt7", "m11"])
+def test_whole_group_from_generators_conjugated_by_a_random_word(name, request):
+    """The shape of the benchmark's whole-group builds: ``subgroup()`` of the standard
+    generators conjugated by a random word of 4 to 10 letters in them and their inverses."""
+    parent = request.getfixturevalue(name)
+    n = parent.degree
+    gens = [Permutation.parse(g, n) for g in STANDARD_GENERATORS[name]]
+    letters = gens + [g.inverse() for g in gens]
+    rng = random.Random(30)
+    for _ in range(4):
+        w = Permutation.identity(n)
+        for _ in range(rng.randint(4, 10)):
+            w = w * rng.choice(letters)
+        group = parent.subgroup([g.conjugate(w) for g in gens])
+        assert group.order() == parent.order()
+        assert group.elements() == parent.elements()
+        for x in range(n):
+            stab = group.point_stabilizer(x)
+            assert stab.order() == parent.order() // len(orbit_of(group, x))
+            assert set(stab.elements()) == {g for g in parent.elements() if g[x] == x}
 
 
 @pytest.mark.parametrize("point", [11, 99, -1, 300])

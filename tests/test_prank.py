@@ -678,6 +678,18 @@ def test_orbit_count_is_the_every_x_count():
     assert wild >= 12
 
 
+def test_point_count_at_a_root_of_multiplicity_m_minus_1():
+    """y^4 = (x - 2)^3 (x^2 + 2) over GF(5): the root 2 climbs three Hasse derivatives and is
+    not reduced mod m, and x^2 + 2, irreducible over GF(5), has its roots in GF(25)."""
+    f = FpPoly(5, (3, 1)) ** 3 * FpPoly(5, (2, 0, 1))
+    assert squarefree_decomposition(f) == ((FpPoly(5, (2, 0, 1)), 1), (FpPoly(5, (3, 1)), 3))
+    curve = CurveModel(4, f, 5)
+    # over GF(5): one place over the root 2, four over x = 3 where f = 1, one at infinity
+    assert count_points(curve, 1) == 6
+    for r in (1, 2, 3):
+        assert count_points(curve, r) == count_points_every_x(curve, r), r
+
+
 def test_point_count_cap_refused_before_tables():
     m = model("y^2 = x^5 - x", 3)
     r = 1
