@@ -20,34 +20,35 @@ subgroups is computed once per group: the normalizer of any other point of
 the orbit is the first one's conjugated chain.  The order is read off the
 chain, and a membership test strips the element through it level by level,
 stopping at the first image outside an orbit.  A Sylow subgroup grows by
-the least p-element of the group's sorted elements that normalizes it and
-lies outside it; the p-subgroups inside it are chains grown one generator
-at a time, and simplicity is decided by normal closures of elements of
-prime order in Sylow centres.  No group fact is ever read from a table.  Element scans,
+the least p-element outside it that normalizes it, met in a walk of the
+group's elements in sorted order that holds one path down a chain; the
+p-subgroups inside it are chains grown one generator at a time, and
+simplicity is decided by normal closures of elements of prime order in
+Sylow centres.  No group fact is ever read from a table.  Element scans,
 membership tests and orbits compose by ``bytes.translate`` (see ``perm``).
 A chain keeps its entries and their inverse tables as plain ``bytes``, made
 by translates of tables it already holds; only generators are ``Permutation``s.
 
-A group's generators and chain are fixed once it is constructed.  Three
+A group's generators and chain are fixed once it is constructed.  Four
 caches are filled on first use, and an entry once written never changes:
-the sorted elements, the order of every element, and the normalizers by
-conjugation orbit.  A race can only compute an entry twice, with equal
-results, so shared instances are safe under concurrent use.  Generators are
-added in sorted order (a Sylow subgroup's in growth order) and Schreier
-generators are taken sorted, which makes every output bit-identical.
+the sorted elements, the set of element orders, the Sylow subgroup of each
+prime, and the normalizers by conjugation orbit.  A race can only compute
+an entry twice, with equal results, so shared instances are safe under
+concurrent use.  Generators are added in sorted order (a Sylow subgroup's in
+growth order) and Schreier generators are taken sorted, which makes every
+output bit-identical.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from math import gcd
 
 from .arith import factorize
 from .perm import DegreeMismatchError, Permutation
 
-# Sorted elements take 72 B each at degree 9 and 160 B at degree 100 (tracemalloc), about
-# degree + 63 B, and their order table at most 87 B more: about 406 B each at degree 256.
+# One scan's peak by tracemalloc, per element of S9 at degree 9 and at degree 100: the sorted
+# elements 80 and 168 B, the order walk 119 and 210 B, about degree + 110 B: 366 B at degree 256.
 ELEMENT_SCAN_CAP = 2**30 // 406  # 2,644,684 elements: one group's scan stays under 1 GiB
 _new = bytes.__new__  # a Permutation from images that are one by construction, without the check
 _IDENTITY = bytes(range(256))  # a residue g of degree n is the identity iff it is a prefix of this
@@ -93,7 +94,8 @@ class PermGroup:
         self._stabilizer = None
         self._order = 1
         self._elements = None
-        self._element_orders = None
+        self._order_set = None
+        self._sylows = {}  # prime -> the Sylow subgroup grown for it
         self._normalizers = {}  # each subgroup element set met -> (t, N(H0)); see _orbit_entry
         return self
 
@@ -183,43 +185,72 @@ class PermGroup:
     def __len__(self):
         return self._order
 
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
-
     def elements(self):
         """All elements, sorted; cached.  Refuses above the element-scan cap."""
         if self._elements is None:
-            if self._order > ELEMENT_SCAN_CAP:
-                raise SizeCapExceededError(f"order {self._order} exceeds {ELEMENT_SCAN_CAP}")
-            elems, pad = [self.identity()], _IDENTITY[self.degree :]
-            for level in reversed(list(self._chain())):
-                tables = [t + pad for t in level._transversal.values()]
-                elems = [_new(Permutation, h.translate(table)) for h in elems for table in tables]
-            elems.sort()
+            elems = sorted(self._products())
+            for i, g in enumerate(elems):  # in place: each element's bytes go as its Permutation comes
+                elems[i] = _new(Permutation, g)
             self._elements = tuple(elems)
         return self._elements
 
-    def element_order_set(self):
-        """Set of element orders; closed under divisors by Lagrange on ⟨x⟩."""
-        return frozenset(self._orders().values())
+    def _products(self):
+        """The images of every element, unsorted: one translate per element and level."""
+        if self._order > ELEMENT_SCAN_CAP:
+            raise SizeCapExceededError(f"order {self._order} exceeds {ELEMENT_SCAN_CAP}")
+        elems, pad = [_IDENTITY[: self.degree]], _IDENTITY[self.degree :]
+        for level in reversed(list(self._chain())):
+            tables = [t + pad for t in level._transversal.values()]
+            elems = [h.translate(table) for h in elems for table in tables]
+        return elems
 
-    def _orders(self):
-        """{element: order}, cached.  Each cyclic subgroup ⟨g⟩ is walked once by translates
-        through g's table; with k = |⟨g⟩|, g^j has order k / gcd(j, k)."""
-        if self._element_orders is None:
-            orders, identity = dict.fromkeys(self.elements(), 0), self.identity()
-            patterns = {}  # k -> (k // gcd(j, k) for j = 1..k), the orders of g, g^2, ..., g^k
-            for g in self.elements():
-                if not orders[g]:
-                    powers, table = [g], g.table()
-                    while powers[-1] != identity:
-                        powers.append(powers[-1].translate(table))
-                    k = len(powers)
-                    if k not in patterns:
-                        patterns[k] = tuple(k // gcd(j, k) for j in range(1, k + 1))
-                    orders.update(zip(powers, patterns[k]))
-            self._element_orders = orders
-        return self._element_orders
+    def _sorted_walk(self, p=1):
+        """The images of every element in sorted order, in memory linear in the degree.
+
+        Level k is the transversal of k in H_k: H_0 is the group, H_(k+1) the
+        stabilizer of k in H_k, and a point H_k fixes has no level.  As H_k fixes
+        every point below k, elements sort as their images of the levels' points.
+        Depth first, a post-map t stands for the elements H_k t, its children the
+        products u t over level k, sorted.  H_(k+1), the identity's identity child,
+        is skipped when p does not divide its order.  Refuses above the scan cap.
+        """
+        if self._order > ELEMENT_SCAN_CAP:
+            raise SizeCapExceededError(f"order {self._order} exceeds {ELEMENT_SCAN_CAP}")
+        n, pad, level, levels = self.degree, _IDENTITY[self.degree :], self, []
+        for k in range(n):
+            transversal, inverses = level._root(k)
+            level._orbit(transversal, inverses)
+            if len(transversal) > 1:
+                level = level.point_stabilizer(k)
+                levels.append((list(transversal.values()), _IDENTITY[:n] if level._order % p else None))
+        paths = [iter([_IDENTITY[:n]])]  # paths[d]: the post-maps at depth d still to expand
+        while paths:
+            if len(paths) > len(levels):
+                yield from paths.pop()
+            elif (t := next(paths[-1], None)) is None:
+                paths.pop()
+            else:
+                entries, skip = levels[len(paths) - 1]
+                children = sorted([u.translate(t + pad) for u in entries])
+                if skip in children:
+                    children.remove(skip)
+                paths.append(iter(children))
+
+    def element_order_set(self):
+        """Set of element orders, cached: the divisors of the orders of the cyclic subgroups
+        walked by translates, each from an element no earlier walk met."""
+        if self._order_set is None:
+            elems, identity, pad = self._products(), _IDENTITY[: self.degree], _IDENTITY[self.degree :]
+            uncovered, walked = set(elems), set()
+            for g in elems:
+                if g in uncovered:
+                    x, table, k = g, g + pad, 1
+                    while x != identity:
+                        uncovered.discard(x)
+                        x, k = x.translate(table), k + 1
+                    walked.add(k)
+            self._order_set = frozenset(d for k in walked for d in range(1, k + 1) if k % d == 0)
+        return self._order_set
 
     def subgroup(self, gens) -> "PermGroup":
         gens = list(gens)
@@ -346,20 +377,23 @@ class PermGroup:
     # -- Sylow machinery -----------------------------------------------------
 
     def sylow_subgroup(self, p: int) -> "PermGroup":
-        """A Sylow p-subgroup, grown deterministically inside the group's sorted elements.
+        """A Sylow p-subgroup, grown deterministically along the group's sorted elements; cached.
 
         From the trivial group P, joins the least p-element of the group
         outside P that normalizes P (one exists until P is Sylow) until the
         p-part of the order is reached; trivial when p does not divide the
-        order.  The generators come in growth order.
+        order.  The candidates come from ``_sorted_walk``.  The generators come
+        in growth order.
         """
-        p_part = p ** dict(factorize(self._order)).get(p, 0)
-        sylow = _blank(PermGroup)._trivial(self.degree)
-        while sylow._order < p_part:
-            orders = self._orders()
-            sylow._add(next(y for y in self.elements() if p_part % orders[y] == 0 and y not in sylow
-                            and all(h.conjugate(y) in sylow for h in sylow.generators)))
-        return sylow
+        if p not in self._sylows:
+            identity, p_part = _IDENTITY[: self.degree], p ** dict(factorize(self._order)).get(p, 0)
+            sylow = _blank(PermGroup)._trivial(self.degree)
+            while sylow._order < p_part:
+                sylow._add(_new(Permutation, next(
+                    y for y in self._sorted_walk(p) if _power(y, p_part) == identity and y not in sylow
+                    and all(h.conjugate(y) in sylow for h in sylow.generators))))
+            self._sylows.setdefault(p, sylow)
+        return self._sylows[p]
 
     def normalizer(self, subgroup: "PermGroup") -> "PermGroup":
         """N_G(H): the stabilizer of H's element set under conjugation.
@@ -395,6 +429,16 @@ class PermGroup:
         schreier = self._orbit(transversal, inverses, act=lambda elements, g, table: frozenset(
             bytes.maketrans(g, h.translate(table))[: self.degree] for h in elements))
         return transversal, schreier
+
+
+def _power(g, e):
+    """The images of g^e, by square-and-multiply on tables."""
+    pad, power = _IDENTITY[len(g) :], _IDENTITY[: len(g)]
+    while e:
+        if e & 1:
+            power = power.translate(g + pad)
+        g, e = g.translate(g + pad), e >> 1
+    return power
 
 
 # -- oracles and p-subgroups ----------------------------------------------

@@ -7,7 +7,7 @@ import time
 import pytest
 from oracles import base, is_solvable, strong_generators
 
-from curvebound.classical import group_facts
+from curvebound.classical import family_order, group_facts
 from curvebound.cli import cmd_group_audit
 from curvebound.fppoly import factorize
 from curvebound.perm import DegreeMismatchError, Permutation
@@ -384,13 +384,13 @@ def check_chain_against_closure(group, closure, probes):
         assert level._inverses.keys() == level._transversal.keys()
         for y, t in level._transversal.items():
             assert t[point] == y
-            assert t.translate(level._inverses[y]) == group.identity()
+            assert t.translate(level._inverses[y]) == Permutation.identity(group.degree)
             assert (t + IDENTITY_TABLE[group.degree :]).translate(level._inverses[y]) == IDENTITY_TABLE
         assert [g for g, _, _ in level._moves] == list(level.generators)
         for g, table, inverse in level._moves:
             assert table == g.table()
-            assert g.translate(inverse + IDENTITY_TABLE[group.degree :]) == group.identity()
-            assert inverse.translate(table) == group.identity()
+            assert g.translate(inverse + IDENTITY_TABLE[group.degree :]) == Permutation.identity(group.degree)
+            assert inverse.translate(table) == Permutation.identity(group.degree)
         level = level._stabilizer
     assert level.order() == 1
 
@@ -548,7 +548,7 @@ def test_conjugated_chains_run_no_orbit_and_sift_nothing(name, monkeypatch):
     stabilizers = {x: group.point_stabilizer(x) for x in group._transversal}
     normalizer = group.normalizer(conj)
     assert calls == []
-    assert group._orbit_entry(conj)[0] != group.identity()
+    assert group._orbit_entry(conj)[0] != Permutation.identity(group.degree)
     assert normalizer.order() == root.order()
     assert all(stab.order() * len(group._transversal) == group.order() for stab in stabilizers.values())
 
@@ -697,7 +697,7 @@ def brute_p_subgroups(sylow):
     """Oracle: the cyclic subgroups of a Sylow subgroup closed under joins, by exhaustive closure."""
     elements = [x for x in sylow.elements() if not x.is_identity()]
     found = set()
-    frontier = [(frozenset([sylow.identity()]), [])]
+    frontier = [(frozenset([Permutation.identity(sylow.degree)]), [])]
     while frontier:
         sub, gens = frontier.pop()
         for x in elements:
@@ -721,3 +721,80 @@ def test_sylow_and_p_subgroups_random_groups(gens):
         keys = [q.elements() for q in reps]
         assert keys == sorted(set(keys))
         assert {frozenset(key) for key in keys} == brute_p_subgroups(sylow)
+
+
+WALKED_GROUPS = RANDOM_SETS + [
+    pytest.param("alt7", id="alt7"),
+    pytest.param("m11", id="m11"),
+    pytest.param([Permutation.parse("(2,3,4)", 6), Permutation.parse("(3,4,5,6)", 6)], id="fixes-point-1"),
+    pytest.param([], id="trivial"),
+]
+
+
+def _walked_group(gens):
+    return load_group(gens) if isinstance(gens, str) else PermGroup(gens, gens[0].degree if gens else 5)
+
+
+@pytest.mark.parametrize("gens", WALKED_GROUPS)
+def test_sorted_walk_is_the_sorted_elements(gens):
+    group = _walked_group(gens)
+    walked = list(group._sorted_walk())
+    assert all(type(y) is bytes for y in walked)
+    assert walked == [bytes(x) for x in group.elements()]
+
+
+@pytest.mark.parametrize("gens", WALKED_GROUPS)
+def test_pruned_walk_skips_only_elements_of_order_prime_to_p(gens):
+    group = _walked_group(gens)
+    for p, _ in factorize(group.order()):
+        walked = list(group._sorted_walk(p))
+        assert walked == sorted(walked)
+        kept = set(walked)
+        assert all(math.gcd(x.order(), p) == 1 for x in group.elements() if x not in kept)
+
+
+@pytest.mark.parametrize("gens", RANDOM_SETS)
+def test_element_order_set_against_closure(gens):
+    group = PermGroup(gens, gens[0].degree)
+    assert group.element_order_set() == {g.order() for g in closure_elements(gens, gens[0].degree)}
+
+
+def test_sporadic_facts_never_sort_the_whole_group():
+    m11 = load_group("m11")
+    assert m11.is_simple()
+    assert sorted(m11.element_order_set()) == [1, 2, 3, 4, 5, 6, 8, 11]
+    for p in (3, 5, 11):
+        group_facts(m11, p)
+    assert m11._elements is None
+
+
+def test_sylow_subgroups_are_cached_per_prime():
+    group = load_group("alt7")
+    for p in (2, 3, 5, 7):
+        assert group.sylow_subgroup(p) is group.sylow_subgroup(p)
+
+
+def _psl3(q):
+    """PSL(3,q), q prime, on the q^2 + q + 1 points of PG(2,q), from the transvection
+    (x, y, z) -> (x + y, y, z) and the cyclic coordinate permutation."""
+    points = [(1, x, y) for x in range(q) for y in range(q)] + [(0, 1, y) for y in range(q)] + [(0, 0, 1)]
+    index = {v: i for i, v in enumerate(points)}
+
+    def normalized(v):
+        lead = pow(next(c for c in v if c % q), -1, q)
+        return tuple(c * lead % q for c in v)
+
+    return PermGroup([Permutation([index[normalized(image(*v))] for v in points])
+                      for image in (lambda x, y, z: (x + y, y, z), lambda x, y, z: (y, z, x))])
+
+
+def test_psl37_sylow_7_without_the_element_table():
+    start = time.perf_counter()
+    group = _psl3(7)
+    assert group.degree == 57 and group.order() == family_order("PSL3", 7) == 1876896
+    sylow = group.sylow_subgroup(7)
+    assert sylow.order() == 343
+    assert all(g in group and g.order() == 7 for g in sylow.generators)
+    assert not sylow.is_elementary_abelian(7)  # the unitriangular group is not abelian
+    assert group._elements is None
+    assert time.perf_counter() - start < 1.0
