@@ -1,11 +1,13 @@
 """Polynomials over prime fields and log tables of their extensions.
 
 Polynomials are coefficient tuples over GF(p), constant term first, with a
-nonzero leading coefficient (the zero polynomial is the empty tuple).  A
-product packs each factor into one integer, with slots wide enough that no
-coefficient of the integer product carries into the next, so the arithmetic
-is one CPython big-integer product and the coefficients are reduced mod p
-once, when unpacked; a power is square and multiply over such products.
+nonzero leading coefficient (the zero polynomial is the empty tuple).  p is
+a prime below ``PRIME_BOUND`` = 2^16; a larger p is refused before any trial
+division.  A product packs each factor into one integer, with slots of 1 to
+8 bytes, wide enough that no coefficient of the integer product carries into
+the next, so the arithmetic is one CPython big-integer product and the
+coefficients are reduced mod p once, when unpacked; a power is square and
+multiply over such products.
 Factoring is reduced to what the curve code reads, the squarefree
 decomposition.  A field GF(p^k) is given by its log and Zech tables over a
 deterministic primitive modulus, so the arithmetic behind point counts is
@@ -25,6 +27,8 @@ from itertools import islice, product
 from . import Record
 from .arith import factorize, is_prime
 
+PRIME_BOUND = 2**16  # (p - 1)^2 < 2^32: a product with fewer than 2^32 terms packs in 8-byte slots
+
 
 class FpPoly(Record):
     """Dense polynomial over GF(p); its own equality and hash are faster than Record's."""
@@ -32,8 +36,8 @@ class FpPoly(Record):
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        if p >= PRIME_BOUND or not is_prime(p):
+            raise ValueError(f"{p} is not a prime below {PRIME_BOUND}")
         c = [x % p for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
@@ -156,26 +160,20 @@ _TYPECODES = {array(code).itemsize: code for code in "QIHB"}
 
 
 def _slot_width(bound: int) -> int:
-    """Bytes per slot that hold every integer up to ``bound``; up to 8 bytes,
-    rounded up to an array item size, which packs in one call."""
+    """The least array item size, in bytes, that holds every integer up to ``bound``."""
     width = -(-bound.bit_length() // 8)
-    return width if width > 8 else min(size for size in _TYPECODES if size >= width)
+    if width > 8:
+        raise OverflowError(f"a product coefficient up to {bound} needs {width}-byte slots")
+    return min(size for size in _TYPECODES if size >= width)
 
 
 def _packed(coeffs, width: int) -> int:
-    if width in _TYPECODES:
-        data = array(_TYPECODES[width], coeffs).tobytes()
-    else:
-        data = b"".join(c.to_bytes(width, _ORDER) for c in coeffs)
-    return int.from_bytes(data, _ORDER)
+    return int.from_bytes(array(_TYPECODES[width], coeffs).tobytes(), _ORDER)
 
 
 def _unpacked(p: int, n: int, width: int, slots: int) -> FpPoly:
     """The polynomial packed into ``n``; the constructor reduces its coefficients mod p."""
-    data = n.to_bytes(slots * width, _ORDER)
-    if width in _TYPECODES:
-        return FpPoly(p, array(_TYPECODES[width], data))
-    return FpPoly(p, (int.from_bytes(data[i:i + width], _ORDER) for i in range(0, len(data), width)))
+    return FpPoly(p, array(_TYPECODES[width], n.to_bytes(slots * width, _ORDER)))
 
 
 @lru_cache(maxsize=4096)

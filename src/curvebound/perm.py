@@ -100,16 +100,7 @@ class Permutation(bytes):
         return _new(Permutation, self.inverse_table()[: len(self)])
 
     def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(len(self))
-        square = self
-        while k:
-            if k & 1:
-                result = result * square
-            square = square * square
-            k >>= 1
-        return result
+        return _new(Permutation, power(self, k) if k >= 0 else power(self.inverse(), -k))
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """g^-1 * self * g: it sends g(i) to g(self(i)), one translate and one maketrans."""
@@ -150,3 +141,13 @@ class Permutation(bytes):
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cycs)
 
     __str__ = __repr__
+
+
+def power(images: bytes, e: int) -> bytes:
+    """The images of g^e, for g's images and e >= 0, by square-and-multiply on tables."""
+    pad, result = _PAD[len(images)], _IDENTITY[: len(images)]
+    while e:
+        if e & 1:
+            result = result.translate(images + pad)
+        images, e = images.translate(images + pad), e >> 1
+    return result

@@ -45,7 +45,7 @@ import os
 import re
 
 from .arith import factorize
-from .perm import DegreeMismatchError, Permutation
+from .perm import DegreeMismatchError, Permutation, power
 
 # One scan's peak by tracemalloc, per element of S9 at degree 9 and at degree 100: the sorted
 # elements 80 and 168 B, the order walk 119 and 210 B, about degree + 110 B: 366 B at degree 256.
@@ -390,7 +390,7 @@ class PermGroup:
             sylow = _blank(PermGroup)._trivial(self.degree)
             while sylow._order < p_part:
                 sylow._add(_new(Permutation, next(
-                    y for y in self._sorted_walk(p) if _power(y, p_part) == identity and y not in sylow
+                    y for y in self._sorted_walk(p) if power(y, p_part) == identity and y not in sylow
                     and all(h.conjugate(y) in sylow for h in sylow.generators))))
             self._sylows.setdefault(p, sylow)
         return self._sylows[p]
@@ -429,16 +429,6 @@ class PermGroup:
         schreier = self._orbit(transversal, inverses, act=lambda elements, g, table: frozenset(
             bytes.maketrans(g, h.translate(table))[: self.degree] for h in elements))
         return transversal, schreier
-
-
-def _power(g, e):
-    """The images of g^e, by square-and-multiply on tables."""
-    pad, power = _IDENTITY[len(g) :], _IDENTITY[: len(g)]
-    while e:
-        if e & 1:
-            power = power.translate(g + pad)
-        g, e = g.translate(g + pad), e >> 1
-    return power
 
 
 # -- oracles and p-subgroups ----------------------------------------------

@@ -27,8 +27,8 @@ from oracles import (
 )
 
 from curvebound import prank
-from curvebound.arith import factorize, is_prime
-from curvebound.fppoly import FpPoly, field_tables, squarefree_decomposition
+from curvebound.arith import is_prime
+from curvebound.fppoly import PRIME_BOUND, FpPoly, _slot_width, field_tables, squarefree_decomposition
 from curvebound.prank import (
     PRIME_CAP,
     ZETA_POINT_CAP,
@@ -87,21 +87,33 @@ def test_modular_power_is_the_reduced_power(p, f, m, e):
     assert pow_mod(f, e, m) == (f**e) % m
 
 
-def test_is_prime_is_trial_division_below_10_5():
-    assert [n for n in range(10**5) if is_prime.__wrapped__(n)] == [
-        n for n in range(10**5) if factorize(n) == ((n, 1),)]
+def test_is_prime_matches_a_sieve_below_2_16():
+    sieve = bytearray([0, 0]) + bytearray([1]) * (2**16 - 1)
+    for d in range(2, 2**8 + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, 2**16 + 1, d)))
+    assert [n for n in range(2**16 + 1) if is_prime.__wrapped__(n)] == [n for n, flag in enumerate(sieve) if flag]
 
 
-def test_is_prime_refuses_strong_pseudoprimes():
-    """3825123056546413051 passes Miller-Rabin to every prime base up to 31, and
-    318665857834031151167461 to every one up to 37; base 41 catches both."""
-    assert not is_prime(3825123056546413051)
-    assert not is_prime(318665857834031151167461)
-    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
-    assert not is_prime((2**61 - 1) * (2**19 - 1))
+@pytest.mark.parametrize("p", [65536, 65537, 2**61 - 1, 2**64 - 59, 3825123056546413051,
+                               318665857834031151167461])
+def test_fppoly_refuses_p_at_the_prime_bound_at_once(p):
+    """Each p is at least 2^16, prime or not, and is refused before any trial
+    division, which for 2^61 - 1 alone would take about 1.5 * 10^9 steps."""
+    assert p >= PRIME_BOUND
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"is not a prime below {PRIME_BOUND}"):
+        FpPoly(p, (1, 1))
+    assert time.perf_counter() - start < 0.01
 
 
-PACKED_PRIMES = (2, 3, 5, 7, 31, 61, 211)
+def test_slot_width_refuses_more_than_8_bytes():
+    assert [_slot_width(b) for b in (0, 255, 256, 2**16, 2**32 - 1, 2**32, 2**64 - 1)] == [1, 1, 2, 4, 4, 8, 8]
+    with pytest.raises(OverflowError):
+        _slot_width(2**64)
+
+
+PACKED_PRIMES = (2, 3, 5, 7, 31, 61, 211, 65521)  # 65521: the largest prime below 2^16
 
 
 def _random_poly(rng, p, degree):
@@ -135,21 +147,6 @@ def test_packed_powers_match_the_left_fold():
             cases.append((_random_poly(rng, p, degree), rng.randrange(min(40, 320 // max(degree, 1)) + 1)))
         for f, k in cases:
             assert f**k == pow_foldl(f, k), (p, f.coeffs, k)
-
-
-def test_packed_slots_grow_past_64_bits():
-    """p = 2^64 - 59, the largest prime below 2^64: one coefficient product
-    needs 128 bits."""
-    big = 2**64 - 59
-    rng = random.Random(big)
-    top = FpPoly(big, [big - 1] * 17)
-    assert top * top == poly_mul_reference(top, top)
-    assert top**6 == pow_foldl(top, 6)
-    for _ in range(20):
-        f, g = _random_poly(rng, big, rng.randrange(-1, 33)), _random_poly(rng, big, rng.randrange(-1, 33))
-        assert f * g == poly_mul_reference(f, g)
-        k = rng.randrange(6)
-        assert f**k == pow_foldl(f, k)
 
 
 def test_squarefree_decomposition():
