@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from math import gcd, isqrt, lcm
 
 from . import Record
@@ -156,38 +157,17 @@ def _smallest_failure(sign, good: int, bad: int) -> int:
 # -- exact polynomial positivity ----------------------------------------------
 
 
-def _integer_kth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, exact."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n in (0, 1) or k == 1:
-        return n
-    # integer Newton from 2^ceil(bits/k) > n^(1/k): the iterates fall
-    # strictly until they reach the floor root
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _lagrange_root_bound(coeffs) -> int:
-    """Integer upper bound for the real roots (integer coefficients, positive leading one)."""
-    lead = coeffs[-1]
-    n = len(coeffs) - 1
-    # a radicand of 1 (|c| < lead) has root 1
-    worst = max((_integer_kth_root(r, n - i) + 1 if (r := -c // lead + 1) > 1 else 2
-                 for i, c in enumerate(coeffs[:-1]) if c < 0), default=0)
-    return 2 * worst + 1
+_HOLDS = AuditReport("holds")  # records are immutable, so one instance serves every call
 
 
 def poly_positive_from(coeffs, start: int) -> AuditReport:
-    """Exact check that the polynomial is > 0 for every integer >= start.
+    """Exact check that the polynomial p, of degree n, is > 0 for every integer >= start.
 
     The rational coefficients are scaled once to integers by the lcm of
-    their denominators.  Every integer up to a root bound is checked; beyond
-    it the sign is the (positive) leading coefficient's.
+    their denominators, and the integers from ``start`` on are checked in
+    turn.  The scan stops at the first x > 0 where q(x) > 0, q keeping p's
+    leading coefficient and its negative ones only: p >= q on x >= 0, and
+    q(x)/x^n rises there, so q(x) > 0 gives p > 0 from x on.
     """
     coeffs = list(coeffs)
     scale = lcm(*(c.denominator for c in coeffs))
@@ -198,15 +178,20 @@ def poly_positive_from(coeffs, start: int) -> AuditReport:
         return AuditReport("fails", witness=start, note="zero polynomial")
     if coeffs[-1] <= 0:
         return AuditReport("fails", witness=None, note="non-positive leading coefficient")
-    horizon = max(start, _lagrange_root_bound(coeffs) + 1)
     highest_first = coeffs[::-1]
-    for x in range(start, horizon + 1):
+    negative_part = [highest_first[0]] + [c if c < 0 else 0 for c in highest_first[1:]]
+    for x in count(start):
+        if x > 0:
+            acc = 0
+            for c in negative_part:  # Horner
+                acc = acc * x + c
+            if acc > 0:
+                return _HOLDS
         acc = 0
-        for c in highest_first:  # Horner
+        for c in highest_first:
             acc = acc * x + c
         if acc <= 0:
             return AuditReport("fails", witness=x)
-    return AuditReport("holds")
 
 
 # -- small polynomial helpers for the registry tails -------------------------
@@ -616,10 +601,13 @@ def classify(order_g: int, g: int):
         raise ValueError("genus must be at least 2")
     if order_g < 1:
         raise ValueError("order must be positive")
-    named = {
-        "hurwitz": order_g <= 84 * (g - 1),
-        "nakajima": order_g <= 84 * g * (g - 1),
-        "solvable-3/2": order_g**2 <= 34**2 * (g + 1) ** 3,
-        "main-7/4": holds_at(MAIN, order_g, g),
-    }
-    return {label for label, ok in named.items() if ok}
+    named = set()
+    if order_g <= 84 * (g - 1):
+        named.add("hurwitz")
+    if order_g <= 84 * g * (g - 1):
+        named.add("nakajima")
+    if order_g**2 <= 34**2 * (g + 1) ** 3:
+        named.add("solvable-3/2")
+    if holds_at(MAIN, order_g, g):
+        named.add("main-7/4")
+    return named

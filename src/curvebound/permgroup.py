@@ -204,25 +204,32 @@ class PermGroup:
             elems = [h.translate(table) for h in elems for table in tables]
         return elems
 
-    def _sorted_walk(self, p=1):
-        """The images of every element in sorted order, in memory linear in the degree.
+    def _walk_levels(self, p):
+        """The levels of ``_sorted_walk(p)``, top first.  Refuses above the scan cap.
 
         Level k is the transversal of k in H_k: H_0 is the group, H_(k+1) the
-        stabilizer of k in H_k, and a point H_k fixes has no level.  As H_k fixes
-        every point below k, elements sort as their images of the levels' points.
-        Depth first, a post-map t stands for the elements H_k t, its children the
-        products u t over level k, sorted.  H_(k+1), the identity's identity child,
-        is skipped when p does not divide its order.  Refuses above the scan cap.
+        stabilizer of k in H_k, and a point H_k fixes has no level.  H_(k+1), the
+        identity's identity child, is skipped when p does not divide its order.
         """
         if self._order > ELEMENT_SCAN_CAP:
             raise SizeCapExceededError(f"order {self._order} exceeds {ELEMENT_SCAN_CAP}")
-        n, pad, level, levels = self.degree, _IDENTITY[self.degree :], self, []
+        n, level, levels = self.degree, self, []
         for k in range(n):
             transversal, inverses = level._root(k)
             level._orbit(transversal, inverses)
             if len(transversal) > 1:
                 level = level.point_stabilizer(k)
                 levels.append((list(transversal.values()), _IDENTITY[:n] if level._order % p else None))
+        return levels
+
+    def _sorted_walk(self, p=1, levels=None):
+        """The images of every element in sorted order, in memory linear in the degree.
+
+        As H_k fixes every point below k, elements sort as their images of the
+        levels' points.  Depth first, a post-map t stands for the elements H_k t,
+        its children the products u t over level k, sorted.
+        """
+        levels, n, pad = levels or self._walk_levels(p), self.degree, _IDENTITY[self.degree :]
         paths = [iter([_IDENTITY[:n]])]  # paths[d]: the post-maps at depth d still to expand
         while paths:
             if len(paths) > len(levels):
@@ -382,15 +389,16 @@ class PermGroup:
         From the trivial group P, joins the least p-element of the group
         outside P that normalizes P (one exists until P is Sylow) until the
         p-part of the order is reached; trivial when p does not divide the
-        order.  The candidates come from ``_sorted_walk``.  The generators come
-        in growth order.
+        order.  The candidates come from ``_sorted_walk`` over levels built once
+        per call.  The generators come in growth order.
         """
         if p not in self._sylows:
             identity, p_part = _IDENTITY[: self.degree], p ** dict(factorize(self._order)).get(p, 0)
             sylow = _blank(PermGroup)._trivial(self.degree)
+            levels = self._walk_levels(p) if p_part > 1 else None
             while sylow._order < p_part:
                 sylow._add(_new(Permutation, next(
-                    y for y in self._sorted_walk(p) if power(y, p_part) == identity and y not in sylow
+                    y for y in self._sorted_walk(p, levels) if power(y, p_part) == identity and y not in sylow
                     and all(h.conjugate(y) in sylow for h in sylow.generators))))
             self._sylows.setdefault(p, sylow)
         return self._sylows[p]

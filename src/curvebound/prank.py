@@ -185,9 +185,10 @@ def charpoly_mod_p(entries, p: int):
     n = len(h)
     for m in range(1, n - 1):
         pivot = next((i for i in range(m, n) if h[i][m - 1]), m)
-        h[m], h[pivot] = h[pivot], h[m]
-        for row in h:
-            row[m], row[pivot] = row[pivot], row[m]
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
         if not h[m][m - 1]:
             continue
         inv = pow(h[m][m - 1], -1, p)

@@ -5,9 +5,9 @@ the package: a polynomial's coefficient read past its degree, second routes
 to values the package computes (a schoolbook product and a left-fold power,
 field tables by polynomial arithmetic, point counts over every x, a p-rank
 read off point counts and one by squaring the Cartier matrix, the Cartier
-matrix by two rules), properties read off a stabilizer chain, the Hurwitz
-genus in exact rationals, and the exhaustive branch-data solver; and the
-shipped groups built once per test session.
+matrix by two rules), properties read off a stabilizer chain, the integer
+k-th root, the Hurwitz genus in exact rationals, and the exhaustive
+branch-data solver; and the shipped groups built once per test session.
 """
 
 from array import array
@@ -324,6 +324,22 @@ def compare_at(b1, b2, g: int) -> int:
 def sign_at_infinity(b1, b2) -> int:
     """Sign of b1 - b2 for all large g."""
     return bounds._comparator(b1, b2)[1]
+
+
+def integer_kth_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0, exact: the Fraction oracles' root."""
+    if n < 0:
+        raise ValueError("negative radicand")
+    if n in (0, 1) or k == 1:
+        return n
+    # integer Newton from 2^ceil(bits/k) > n^(1/k): the iterates fall
+    # strictly until they reach the floor root
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def chain_passes(chain_id: str) -> bool:

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import chain_passes, compare_at, sign_at_infinity
+from oracles import chain_passes, compare_at, integer_kth_root, sign_at_infinity
 
 from curvebound import bounds
 from curvebound.arith import is_prime
@@ -276,14 +276,24 @@ def test_poly_positive():
     assert poly_positive_from((1, -5, 10, -11, 5), 2).verdict == "holds"
     assert poly_positive_from((-1, 0, 1), 2).verdict == "holds"  # g^2 - 1 from 2
     assert poly_positive_from((-1, 0, 1), 1).verdict == "fails"  # zero at 1
+    # (x - 5)(x - 6) is positive from 1 to 4; only its negative part, 1 - 11x + x^2 at 11, certifies
+    assert poly_positive_from((30, -11, 1), 1) == bounds.AuditReport("fails", witness=5)
+    # x^2 + 500x + 1 is negative at -5, where its negative part x^2 is positive but certifies nothing
+    assert poly_positive_from((1, 500, 1), -5) == bounds.AuditReport("fails", witness=-5)
     assert poly_positive_from((0,), 1).verdict == "fails"
     assert poly_positive_from((5, -1), 1).verdict == "fails"  # negative leading coefficient
 
 
 def test_poly_positive_beyond_float_range():
-    # the root bound needs a square root of 10^400, past the largest float
+    # a root of 10^400 lies past the largest float
     report = poly_positive_from([-(10**400), 0, 1], 0)
     assert (report.verdict, report.witness) == ("fails", 0)
+    # past its root, x^2 - 10^14 is certified at the first integer scanned; a
+    # scan up to a root bound would walk some 10^7 integers
+    start = time.perf_counter()
+    report = poly_positive_from([-(10**14), 0, 1], 10**7 + 1)
+    assert (report.verdict, report.witness) == ("holds", None)
+    assert time.perf_counter() - start < 0.1
 
 
 def audit_step(step):
@@ -328,7 +338,7 @@ def test_integer_kth_root_is_the_floor_root(k):
     radicands = list(range(300)) + [10**e + d for e in range(1, 401, 7) for d in (-1, 0, 1)]
     radicands += [x**k + d for x in (2**64, 3**200, 10**57) for d in (-1, 0, 1)]
     for n in radicands:
-        x = bounds._integer_kth_root(n, k)
+        x = integer_kth_root(n, k)
         assert x**k <= n < (x + 1) ** k, (n, k)
 
 
@@ -409,7 +419,7 @@ def frac_poly_positive_from(coeffs, start):
     worst = 0
     for i, c in enumerate(coeffs[:-1]):
         if c < 0:
-            worst = max(worst, bounds._integer_kth_root(int(F(-c) / lead) + 1, n - i) + 1)
+            worst = max(worst, integer_kth_root(int(F(-c) / lead) + 1, n - i) + 1)
     for x in range(start, max(start, 2 * worst + 2) + 1):
         acc = F(0)
         for c in reversed(coeffs):
@@ -452,7 +462,7 @@ def test_integer_kernels_match_fraction_oracle(b1, b2, g):
 def test_holds_at_matches_fraction_oracle(b, g, value):
     # the floor of the bound and one above it exercise the equality edge
     cleared = frac_raised(b, g, b.den)
-    near = bounds._integer_kth_root(cleared.numerator // cleared.denominator, b.den)
+    near = integer_kth_root(cleared.numerator // cleared.denominator, b.den)
     for v in (value, near, near + 1):
         assert holds_at(b, v, g) == frac_holds_at(b, v, g)
 
@@ -466,7 +476,7 @@ def rational_polys(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_polys(), st.integers(0, 10))
+@given(rational_polys(), st.integers(-5, 10))
 def test_poly_positive_matches_fraction_oracle(coeffs, start):
     report = poly_positive_from(coeffs, start)
     assert (report.verdict, report.witness) == frac_poly_positive_from(coeffs, start)
