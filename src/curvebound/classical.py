@@ -60,23 +60,24 @@ class GroupFacts(Record):
 def group_facts(group, p: int) -> GroupFacts:
     """Wild and tame catalogs of a permutation group at an odd prime p dividing its order.
 
-    The wild catalog is recomputed by a live subgroup search: for every
-    elementary abelian Q among the subgroups of one Sylow p-subgroup, the
-    prime-to-p element orders of N(Q) (``permgroup.complement_orders``) give
-    the cyclic complements, filtered by the ordinary-stabilizer constraint
-    E <= |Q| - 1.  The tame catalog is the element-order set minus 1 and
-    multiples of p.
+    The wild catalog lists the wild one-point stabilizer shapes Q ⋊ C of an
+    ordinary curve, Q elementary abelian (Nakajima, 1987), by a live
+    subgroup search: for every elementary abelian Q among the subgroups of
+    one Sylow p-subgroup, the prime-to-p element orders E of N(Q) are the
+    orders of the cyclic complements C, filtered by the ordinary-stabilizer
+    constraint E <= |Q| - 1.  The tame catalog is the element-order set
+    minus 1 and multiples of p.
     """
     if p == 2 or p not in dict(factorize(group.order())):
         raise ValueError(f"{p} is not an odd prime dividing the group order {group.order()}")
-    from .permgroup import complement_orders
+    from .permgroup import p_subgroup_class_reps
 
     wild = {
         (q.order(), e)
-        for q, orders in complement_orders(group, p)
+        for q in p_subgroup_class_reps(group, p)
         if q.is_elementary_abelian(p)
-        for e in orders
-        if e <= q.order() - 1
+        for e in group.normalizer(q).element_order_set()
+        if e % p and e <= q.order() - 1
     }
     tame = {e for e in group.element_order_set() if e > 1 and e % p != 0}
     return GroupFacts(

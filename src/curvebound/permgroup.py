@@ -485,28 +485,6 @@ def p_subgroup_class_reps(group: PermGroup, p: int):
     return [found[key] for key in sorted(found)]
 
 
-def complement_orders(group: PermGroup, p: int):
-    """(Q, orders) for each Q from ``p_subgroup_class_reps``: the prime-to-p element orders of N(Q).
-
-    These are the orders of the cyclic complements C that make Q ⋊ C a
-    subgroup; 1 is always among them.
-    """
-    return [
-        (q, {n for n in group.normalizer(q).element_order_set() if n % p})
-        for q in p_subgroup_class_reps(group, p)
-    ]
-
-
-def max_solvable_with_cyclic_complement(group: PermGroup, p: int) -> int:
-    """Largest |Q|·|C| with Q a p-subgroup and C cyclic of coprime order in N(Q).
-
-    Such Q ⋊ C subgroups are exactly the solvable subgroups whose Sylow
-    p-subgroup is normal with a cyclic complement, the shape wild one-point
-    stabilizers take.  0 when p does not divide the order.
-    """
-    return max((q.order() * max(orders) for q, orders in complement_orders(group, p)), default=0)
-
-
 # -- generator files --------------------------------------------------------
 
 DATA_ENV_VAR = "CURVEBOUND_DATA"

@@ -24,6 +24,7 @@ from curvebound.bounds import (
     holds_at,
     poly_positive_from,
 )
+from curvebound.classical import family_order
 
 F = Fraction
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -44,6 +45,18 @@ def test_holds_at_named_values():
     assert not holds_at(HURWITZ, 2520, 31)  # equality, so the strict bound fails
     assert holds_at(PowerBound(F(1, 1000)), 0, 2)
     assert holds_at(MAIN, 1, 2)
+
+
+def test_psl3_genus_floor_misses_the_singer_signature_at_q23():
+    # The PSL(3,q) signature with wild stabilizer of order q^2 (q^2-1)/delta and tame
+    # index (q^2+q+1)/delta has g - 1 = q(q-1)(q^3-2q-2)/2 by Riemann-Hurwitz, an even g
+    # for q = 3 mod 4.  At q = 23 that lies below the floor psl3.assembly_perq assumes,
+    # while both bounds the branch concludes still hold there.
+    q = 23
+    g = q * (q - 1) * (q**3 - 2 * q - 2) // 2 + 1
+    assert (g - 1, bounds._psl3_gm1(q)) == (3_066_107, 4_711_063)
+    assert holds_at(MAIN, family_order("PSL3", q), g)
+    assert holds_at(PowerBound(F(290), shift=-1, num=7, den=4), family_order("PGL3", q), g)
 
 
 def test_holds_at_monotone_in_value():

@@ -235,7 +235,25 @@ def test_wrong_generator_group(tmp_path, monkeypatch, capsys):
     assert err == "error: the m11 generator file builds a group of order 4\n"
     code, out, _ = run(["group-audit", "m11", "--format", "json"], capsys)
     assert code == 1  # a file that builds the wrong group is a failed verdict for the audit
-    assert json.loads(out)["verdict_summary"] == "fails"
+    doc = json.loads(out)
+    assert doc["verdict_summary"] == "fails"
+    assert [(row["anchor"], row["verdict"], row["computed"]) for row in doc["rows"]] == [
+        ("order by stabilizer chain", "fails", 4)]
+
+
+def test_a_wrong_order_stops_group_audit_at_the_order_row(tmp_path, monkeypatch, capsys):
+    # six disjoint 3-cycles generate (Z/3)^6, order 729, under every cap; its
+    # Sylow 3-subgroup has thousands of subgroups, so no p-subgroup search may run
+    (tmp_path / "alt7.txt").write_text("".join(f"({3 * i + 1},{3 * i + 2},{3 * i + 3})\n" for i in range(6)))
+    monkeypatch.setenv(permgroup.DATA_ENV_VAR, str(tmp_path))
+    start = time.perf_counter()
+    code, out, _ = run(["group-audit", "alt7", "--format", "json"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict_summary"] == "fails"
+    assert [(row["anchor"], row["verdict"], row["computed"]) for row in doc["rows"]] == [
+        ("order by stabilizer chain", "fails", 729)]
 
 
 def test_a_group_above_the_element_scan_cap_is_refused_at_once(tmp_path, monkeypatch, capsys):
@@ -267,6 +285,9 @@ def test_same_order_other_group_is_refused(tmp_path, monkeypatch, capsys):
     by_anchor = {row["anchor"]: row for row in doc["rows"]}
     assert by_anchor["order by stabilizer chain"]["verdict"] == "holds"
     assert by_anchor["element order set"]["verdict"] == "fails"
+    monkeypatch.delenv(permgroup.DATA_ENV_VAR)
+    shipped = json.loads(run(["group-audit", "m11", "--format", "json"], capsys)[1])
+    assert list(by_anchor) == [row["anchor"] for row in shipped["rows"]]  # the right order gets every row
 
 
 @pytest.mark.parametrize("order, genus, message", [("7920", "1", "genus must be at least 2"),
