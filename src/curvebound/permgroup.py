@@ -96,7 +96,7 @@ class PermGroup:
         self._elements = None
         self._order_set = None
         self._sylows = {}  # prime -> the Sylow subgroup grown for it
-        self._normalizers = {}  # each subgroup element set met -> (t, N(H0)); see _orbit_entry
+        self._normalizers = {}  # each subgroup element set met -> (t, N(H0)); see normalizer
         return self
 
     def _add(self, g):
@@ -351,12 +351,10 @@ class PermGroup:
         commutators = [a.inverse() * b.inverse() * a * b for a in self.generators for b in self.generators]
         return self.normal_closure([c for c in commutators if not c.is_identity()])
 
-    def is_abelian(self) -> bool:
-        return all(a * b == b * a for a in self.generators for b in self.generators)
-
     def is_elementary_abelian(self, p: int) -> bool:
         """Abelian and generated by elements of order p, so every element has order p or 1."""
-        return self.is_abelian() and all(g.order() == p for g in self.generators)
+        gens = self.generators
+        return all(a * b == b * a for a in gens for b in gens) and all(g.order() == p for g in gens)
 
     def is_simple(self) -> bool:
         """Nontrivial with no proper nontrivial normal subgroup, decided on Sylow centres.
@@ -404,27 +402,19 @@ class PermGroup:
         return self._sylows[p]
 
     def normalizer(self, subgroup: "PermGroup") -> "PermGroup":
-        """N_G(H): the stabilizer of H's element set under conjugation.
+        """N_G(H): the stabilizer of H's element set under conjugation; its index is H's class size.
 
-        The group itself when H is normal; otherwise t^-1 N(H0) t, where the
-        conjugation orbit of H was found from H0 and t carries H0 to H.
+        The group itself when H is normal; otherwise t^-1 N(H0) t, where H0 is
+        the first subgroup of H's conjugation orbit met and t carries H0 to H.
         """
-        t, root = self._orbit_entry(subgroup)
-        return root if _IDENTITY.startswith(t) else root._conjugated(t)
-
-    def conjugacy_class_size_of_subgroup(self, subgroup: "PermGroup") -> int:
-        """Number of G-conjugates of H: |G| / |N_G(H)|, its conjugation-orbit length."""
-        return self._order // self._orbit_entry(subgroup)[1]._order
-
-    def _orbit_entry(self, subgroup):
-        """(t, N(H0)) with H = t^-1 H0 t, H0 the first subgroup of H's conjugation orbit met."""
         key = frozenset(subgroup.elements())
         if key not in self._normalizers:
             transversal, schreier = self._conjugates_of(subgroup)
             root = self._root_stabilizer(transversal, schreier)
             for conjugate, t in transversal.items():
                 self._normalizers[conjugate] = (t, root)
-        return self._normalizers[key]
+        t, root = self._normalizers[key]
+        return root if _IDENTITY.startswith(t) else root._conjugated(t)
 
     def _conjugates_of(self, subgroup):
         if subgroup.degree != self.degree:

@@ -1,16 +1,17 @@
 """Genus and p-rank bookkeeping for Galois covers, on integers.
 
 Covers the Hurwitz genus formula, the Deuring-Shafarevich formula, and the
-two-branch-point enumeration that classifies even-genus actions of the two
-sporadic candidate groups.  Rationals are cleared to integers before they are
-compared; no floating point or ``Fraction`` enters any computation here.
+two-branch-point enumeration behind the even-genus actions of the two sporadic
+candidate groups.  The enumeration returns plain (q1, E1, e2, g) tuples; the
+``enumerate`` command labels them.  Rationals are cleared to integers before
+they are compared; no floating point or ``Fraction`` enters any computation
+here.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from . import Record
 from .arith import factor_prime_power
 
 HURWITZ_COEFF = 84
@@ -58,64 +59,21 @@ def deuring_shafarevich(order_s: int, quotient_p_rank: int, short_orbit_sizes) -
     return gamma
 
 
-class Candidate(Record):
-    """One admissible two-point signature with its filter flags.
-
-    ``passes_parity`` records g even; ``passes_hurwitz_filter`` records
-    |G| > 84(g-1), the standing assumption the enumeration works under.
-    ``p_group_stabilizer`` marks E1 = 1 rows (stabilizer is a p-group, where
-    the 24(g-1) bound already excludes the branch) and ``small_wild_part``
-    marks q1 = p, E1 = 2 rows (excluded by the 84(g-1) elementary-abelian
-    bound); both are reported, never silently dropped.
-    """
-
-    __slots__ = ("e1", "d1", "e2", "d2", "q1", "E1", "g", "passes_parity", "passes_hurwitz_filter",
-                 "p_group_stabilizer", "small_wild_part")
-
-    def __init__(self, e1: int, d1: int, e2: int, d2: int, q1: int, E1: int, g: int, passes_parity: bool,
-                 passes_hurwitz_filter: bool, p_group_stabilizer: bool, small_wild_part: bool):
-        object.__setattr__(self, "e1", e1)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "e2", e2)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "E1", E1)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "passes_parity", passes_parity)
-        object.__setattr__(self, "passes_hurwitz_filter", passes_hurwitz_filter)
-        object.__setattr__(self, "p_group_stabilizer", p_group_stabilizer)
-        object.__setattr__(self, "small_wild_part", small_wild_part)
-
-
 def enumerate_case_iii(facts):
-    """All integral-genus two-point signatures of a GroupFacts: one wild and one tame branch.
+    """(q1, E1, e2, g) for each two-point signature of a GroupFacts: one wild and one tame branch.
 
-    The quotient is rational; candidates with integral g >= 2 are kept and
-    annotated, in canonical (e1, e2) order.  Output is deterministic.
+    The quotient is rational; signatures with integral g >= 2 are kept, sorted
+    by (e1, e2) with e1 = q1*E1, which at one prime fixes (q1, E1).  The
+    labels a report puts on them are ``cli.cmd_enumerate``'s.
     """
     out = []
     for q1, e_one in facts.wild_catalog:
         e1, d1 = wild_different(q1, e_one)
         for e2 in facts.tame_catalog:
             g = hurwitz_genus(facts.order, 0, ((e1, d1, 1), (e2, e2 - 1, 1)))
-            if g is None or g < 2:
-                continue
-            out.append(
-                Candidate(
-                    e1=e1,
-                    d1=d1,
-                    e2=e2,
-                    d2=e2 - 1,
-                    q1=q1,
-                    E1=e_one,
-                    g=g,
-                    passes_parity=(g % 2 == 0),
-                    passes_hurwitz_filter=(facts.order > HURWITZ_COEFF * (g - 1)),
-                    p_group_stabilizer=(e_one == 1),
-                    small_wild_part=(q1 == facts.p and e_one == 2),
-                )
-            )
-    out.sort(key=lambda c: (c.e1, c.e2))
+            if g is not None and g >= 2:
+                out.append((q1, e_one, e2, g))
+    out.sort(key=lambda row: (row[0] * row[1], row[2]))
     return out
 
 

@@ -44,28 +44,35 @@ F = Fraction
 
 
 def _even_rows(name, char):
-    return [c for c in enumerate_case_iii(shipped_facts(name, char)) if c.passes_parity]
+    """(e1, d1, e2, g, q1, E1) for each even-genus two-point signature."""
+    return [(*wild_different(q1, e_one), e2, g, q1, e_one)
+            for q1, e_one, e2, g in enumerate_case_iii(shipped_facts(name, char)) if g % 2 == 0]
+
+
+def _exceeds_hurwitz(name, g):
+    return {"ALT7": 2520, "M11": 7920}[name] > 84 * (g - 1)
 
 
 def test_criterion_1_alt7_enumeration():
     start = time.perf_counter()
 
     rows5 = _even_rows("ALT7", 5)
-    assert {(c.e1, c.e2, c.g - 1) for c in rows5} == {(5, 4, 441), (10, 4, 63), (20, 7, 9)}
-    assert [c.g for c in rows5 if c.passes_hurwitz_filter] == [10]
+    assert {(e1, e2, g - 1) for e1, _, e2, g, _, _ in rows5} == {(5, 4, 441), (10, 4, 63), (20, 7, 9)}
+    assert [g for _, _, _, g, _, _ in rows5 if _exceeds_hurwitz("ALT7", g)] == [10]
 
     rows7 = _even_rows("ALT7", 7)
-    assert [(c.g, c.passes_hurwitz_filter) for c in rows7] == [(586, False)]
+    assert [(g, _exceeds_hurwitz("ALT7", g)) for _, _, _, g, _, _ in rows7] == [(586, False)]
 
     rows3 = _even_rows("ALT7", 3)
+    # a p-group stabilizer (E1 = 1) and the wild part q1 = p, E1 = 2 are excluded by lemmas
     narrowed = {
-        (c.e1, c.d1): c.g
-        for c in rows3
-        if not c.p_group_stabilizer and not c.small_wild_part
+        (e1, d1): g
+        for e1, d1, _, g, q1, e_one in rows3
+        if e_one != 1 and (q1, e_one) != (3, 2)
     }
     assert narrowed == {(18, 25): 176, (36, 43): 66}
     assert all(
-        not c.passes_hurwitz_filter for c in rows3 if (c.e1, c.d1) in ((18, 25), (36, 43))
+        not _exceeds_hurwitz("ALT7", g) for e1, d1, _, g, _, _ in rows3 if (e1, d1) in ((18, 25), (36, 43))
     )
 
     elapsed = time.perf_counter() - start
@@ -77,19 +84,19 @@ def test_criterion_2_m11_enumeration():
     start = time.perf_counter()
 
     rows11 = _even_rows("M11", 11)
-    assert {(c.e1, c.e2, c.g) for c in rows11} == {(11, 8, 2746), (55, 8, 154)}
-    assert all(not c.passes_hurwitz_filter for c in rows11)
-    printed = [c for c in rows11 if c.e1 == 11]
-    assert printed and printed[0].g == 2746 and printed[0].e2 == 8
+    assert {(e1, e2, g) for e1, _, e2, g, _, _ in rows11} == {(11, 8, 2746), (55, 8, 154)}
+    assert all(not _exceeds_hurwitz("M11", g) for _, _, _, g, _, _ in rows11)
+    printed = [(e2, g) for e1, _, e2, g, _, _ in rows11 if e1 == 11]
+    assert printed == [(8, 2746)]
 
     rows5 = _even_rows("M11", 5)
-    assert {c.g - 1 for c in rows5} == {1881, 693, 99}
-    assert all(not c.passes_hurwitz_filter for c in rows5)
+    assert {g - 1 for _, _, _, g, _, _ in rows5} == {1881, 693, 99}
+    assert all(not _exceeds_hurwitz("M11", g) for _, _, _, g, _, _ in rows5)
 
     rows3 = _even_rows("M11", 3)
-    survivors = [c for c in rows3 if c.passes_hurwitz_filter]
-    assert [(c.e1, c.d1, c.e2, c.d2, c.g) for c in survivors] == [(72, 79, 11, 10, 26)]
-    tame8 = {c.g - 1 for c in rows3 if c.e2 == 8}
+    survivors = [(e1, d1, e2, e2 - 1, g) for e1, d1, e2, g, _, _ in rows3 if _exceeds_hurwitz("M11", g)]
+    assert survivors == [(72, 79, 11, 10, 26)]
+    tame8 = {g - 1 for _, _, e2, g, _, _ in rows3 if e2 == 8}
     assert tame8 == {1045, 2585, 165, 275, 825}
 
     elapsed = time.perf_counter() - start
@@ -273,10 +280,10 @@ def test_criterion_8_internal_consistency():
     # every candidate genus must come out integral
     for name, p, expected in (("ALT7", 7, 586), ("M11", 11, 2746)):
         facts = shipped_facts(name, p)
-        cands = [c for c in enumerate_case_iii(facts) if c.passes_parity and c.g == expected]
+        cands = [(q1, e_one, e2) for q1, e_one, e2, g in enumerate_case_iii(facts) if g == expected]
         assert len(cands) == 1
-        cand = cands[0]
-        direct = hurwitz_genus(facts.order, 0, ((cand.e1, cand.d1, 1), (cand.e2, cand.d2, 1)))
+        q1, e_one, e2 = cands[0]
+        direct = hurwitz_genus(facts.order, 0, ((*wild_different(q1, e_one), 1), (e2, e2 - 1, 1)))
         assert direct == expected
         assert (2 * expected - 2) % 2 == 0
     for cid in bounds.chain_ids():

@@ -257,15 +257,18 @@ def test_a_wrong_order_stops_group_audit_at_the_order_row(tmp_path, monkeypatch,
 
 
 def test_a_group_above_the_element_scan_cap_is_refused_at_once(tmp_path, monkeypatch, capsys):
-    # a 3-cycle and an 11-cycle through two of its points generate A12, of order 239,500,800
+    # a 3-cycle and an 11-cycle through two of its points generate A12, of order 239,500,800;
+    # group-audit stops at its order row before any element scan, and enumerate refuses it
     (tmp_path / "m11.txt").write_text("(1,2,3)\n(2,3,4,5,6,7,8,9,10,11,12)\n")
     monkeypatch.setenv(permgroup.DATA_ENV_VAR, str(tmp_path))
     start = time.perf_counter()
     code, out, err = run(["group-audit", "m11", "--format", "json"], capsys)
-    assert time.perf_counter() - start < 1.0  # refused at once, before any element scan
-    assert (code, out) == (2, "")
-    assert err == ("error: the m11 generator file builds a group of order 239500800, "
-                   f"above the element-scan cap of {permgroup.ELEMENT_SCAN_CAP}\n")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["verdict_summary"] == "fails"
+    assert [(row["anchor"], row["verdict"], row["computed"]) for row in doc["rows"]] == [
+        ("order by stabilizer chain", "fails", 239500800)]
     code, out, err = run(["enumerate", "--group", "m11", "--char", "3"], capsys)
     assert (code, out, err) == (2, "", "error: the m11 generator file builds a group of order 239500800\n")
 
@@ -437,6 +440,24 @@ def test_json_reports_match_golden_digests(argv, digest, capsys):
     code, out, _ = run(argv + ["--format", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [pytest.param(a, id=i) for i, a, _ in GOLDEN_REPORTS])
+def test_csv_carries_the_json_rows(argv, capsys):
+    """Same rows; the header is the sorted union of row keys; a cell is str(value),
+    json.dumps of a list, and empty for None or a missing key."""
+    import csv as csvmod
+    import io
+
+    rows = json.loads(run(argv + ["--format", "json"], capsys)[1])["rows"]
+    table = list(csvmod.reader(io.StringIO(run(argv + ["--format", "csv"], capsys)[1])))
+    keys = sorted({k for row in rows for k in row})
+    assert table[1] == keys and len(table) - 2 == len(rows)
+
+    def cell(value):
+        return "" if value is None else json.dumps(value) if isinstance(value, list) else str(value)
+
+    assert table[2:] == [[cell(row.get(k)) for k in keys] for row in rows]
 
 
 def test_reports_do_not_depend_on_the_hash_seed():

@@ -2,11 +2,11 @@
 
 A module may not import an underscore name from a sibling module (private
 helpers stay private to their module), and may not import a name it never
-uses.  Every public name the package defines has a reader inside the
-package, apart from an allow-list with a reason for each entry; test-only
-helpers live in ``tests/oracles.py``.  A CLI process loads only the layers
-and standard modules its subcommand computes with, checked in a fresh
-interpreter.
+uses.  Every name the package defines, public or single-underscore, has a
+reader inside the package, apart from an allow-list with a reason for each
+entry; test-only helpers live in ``tests/oracles.py``.  A CLI process loads
+only the layers and standard modules its subcommand computes with, checked
+in a fresh interpreter.
 """
 
 import ast
@@ -61,7 +61,7 @@ def test_package_imports_are_clean(module):
     assert import_findings((SRC / module).read_text()) == []
 
 
-# Public names with no reader in src/, each with the reason it stays there.
+# Names with no reader in src/, each with the reason it stays there.
 NO_SRC_CALLER = {
     "bounds.audit_all": "perfbench's library-warm workload audits the whole registry through it",
     "permgroup.PermGroup.subgroup": "perfbench's library-warm workload builds its subgroups through it",
@@ -83,23 +83,24 @@ def _slot_fields(node):
     return []
 
 
-def _public_definitions(tree):
-    """(qualified name, node) for each public function, class and constant of a module,
-    and each public method, property or slot field of its classes."""
+def _definitions(tree):
+    """(qualified name, node) for each function, class and constant of a module, each
+    method and property of its classes, and each public slot field; dunders excluded."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
             if isinstance(node, ast.ClassDef):
                 yield from ((f"{node.name}.{item.name}", item) for item in node.body
-                            if isinstance(item, ast.FunctionDef))
-                yield from ((f"{node.name}.{name}", item) for name, item in _slot_fields(node))
+                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"))
+                yield from ((f"{node.name}.{name}", item) for name, item in _slot_fields(node)
+                            if not name.startswith("_"))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__"))
 
 
-def unused_public_names(sources):
-    """Sorted ``module.name`` for each public definition that no code in ``sources`` loads
+def unused_names(sources):
+    """Sorted ``module.name`` for each definition that no code in ``sources`` loads
     outside the definition itself; ``sources`` maps module names to their text.
 
     A module-level name is read where it is loaded as a name or an attribute,
@@ -114,23 +115,27 @@ def unused_public_names(sources):
     loads = sum((_loads(tree) for tree in trees.values()), Counter())
     found = []
     for module, tree in trees.items():
-        for qualname, node in _public_definitions(tree):
+        for qualname, node in _definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
             keys = ["." + name] if "." in qualname else [name, "." + name]
             own = _loads(node)
-            if not name.startswith("_") and all(loads[key] == own[key] for key in keys):
+            if all(loads[key] == own[key] for key in keys):
                 found.append(f"{module}.{qualname}")
     return sorted(found)
 
 
 def test_unused_public_names_detects_each_kind():
     sources = {
-        "a": "LIMIT = 3\nSPARE = 4\n_PRIVATE = 5\n"
-             "def used():\n    return LIMIT\n"
+        "a": "LIMIT = 3\nSPARE = 4\n_PRIVATE = 5\n_READ = 6\n__all__ = []\n"
+             "def used():\n    return LIMIT + _READ + _helper()\n"
+             "def _helper():\n    return 0\n"
+             "def _spare_helper():\n    return 0\n"
              "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
              "class Shape:\n"
-             "    def area(self):\n        return self.side()\n"
+             "    def area(self):\n        return self.side() + self._inner()\n"
              "    def side(self):\n        return 1\n"
+             "    def _inner(self):\n        return 0\n"
+             "    def _dead(self):\n        return 0\n"
              "    @property\n    def name(self):\n        return 'x'\n"
              "    def __repr__(self):\n        return ''\n"
              "class Spare:\n    pass\n"
@@ -139,8 +144,9 @@ def test_unused_public_names_detects_each_kind():
         "b": "from .a import Plain, Point, Shape, used\nused()\nShape().area()\nname = 'local'\nname.upper()\n"
              "Point(1).x\nPlain()\n",
     }
-    assert unused_public_names(sources) == [
-        "a.Point.tag", "a.SPARE", "a.Shape.name", "a.Spare", "a.recursive"]
+    assert unused_names(sources) == [
+        "a.Point.tag", "a.SPARE", "a.Shape._dead", "a.Shape.name", "a.Spare", "a._PRIVATE", "a._spare_helper",
+        "a.recursive"]
 
 
 def _package_sources():
@@ -148,15 +154,15 @@ def _package_sources():
 
 
 def test_every_public_name_has_a_reader_in_src():
-    assert sorted(set(unused_public_names(_package_sources())) - set(NO_SRC_CALLER)) == []
+    assert sorted(set(unused_names(_package_sources())) - set(NO_SRC_CALLER)) == []
 
 
 def test_allow_list_names_exist_and_still_have_no_reader():
     sources = _package_sources()
     defined = {f"{module}.{qualname}" for module, text in sources.items()
-               for qualname, _ in _public_definitions(ast.parse(text))}
+               for qualname, _ in _definitions(ast.parse(text))}
     assert sorted(set(NO_SRC_CALLER) - defined) == []
-    assert sorted(set(NO_SRC_CALLER) - set(unused_public_names(sources))) == []
+    assert sorted(set(NO_SRC_CALLER) - set(unused_names(sources))) == []
 
 
 def fresh_stdout(script: str, *dirs) -> str:

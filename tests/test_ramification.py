@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from oracles import UnboundedInstanceError, hurwitz_genus_reference, shipped_facts, solve_branch_data
 
+from curvebound import cli
 from curvebound.classical import GroupFacts
 from curvebound.fppoly import FpPoly
 from curvebound.prank import CurveModel, UnsupportedModelError
@@ -92,13 +93,14 @@ def test_hurwitz_genus_matches_the_rational_formula():
 
 
 def test_hurwitz_integrality_crosscheck():
-    # candidate constructor and direct evaluation must agree on 2g - 2
+    # the enumeration and direct evaluation must agree on 2g - 2
     facts = shipped_facts("M11", 3)
-    for cand in enumerate_case_iii(facts):
-        g = hurwitz_genus(facts.order, 0, ((cand.e1, cand.d1, 1), (cand.e2, cand.d2, 1)))
-        assert g == cand.g
-        lhs = Fraction(2 * cand.g - 2)
-        rhs = facts.order * (Fraction(-2) + Fraction(cand.d1, cand.e1) + Fraction(cand.d2, cand.e2))
+    for q1, e_one, e2, genus in enumerate_case_iii(facts):
+        e1, d1 = wild_different(q1, e_one)
+        g = hurwitz_genus(facts.order, 0, ((e1, d1, 1), (e2, e2 - 1, 1)))
+        assert g == genus
+        lhs = Fraction(2 * genus - 2)
+        rhs = facts.order * (Fraction(-2) + Fraction(d1, e1) + Fraction(e2 - 1, e2))
         assert lhs == rhs
 
 
@@ -145,23 +147,22 @@ EXPECTED_SURVIVORS = {
 @pytest.mark.parametrize("name,p", sorted(EXPECTED_EVEN_ROWS))
 def test_enumerate_even_rows(name, p):
     facts = shipped_facts(name, p)
-    candidates = enumerate_case_iii(facts)
-    even = {(c.e1, c.e2): c.g - 1 for c in candidates if c.passes_parity}
+    even = {(q1 * e_one, e2): g - 1 for q1, e_one, e2, g in enumerate_case_iii(facts) if g % 2 == 0}
     assert even == EXPECTED_EVEN_ROWS[(name, p)]
-    survivors = {c.g for c in candidates if c.passes_parity and c.passes_hurwitz_filter}
+    survivors = {gm1 + 1 for gm1 in even.values() if facts.order > 84 * gm1}
     assert survivors == EXPECTED_SURVIVORS[(name, p)]
 
 
 def test_enumerate_alt7_char3_lemma_flags():
-    facts = shipped_facts("ALT7", 3)
-    candidates = enumerate_case_iii(facts)
+    # the labels are set by the enumerate command, so they are read off its report rows
+    rows = [row for row in cli.cmd_enumerate("alt7", 3).rows if "e1" in row]
     kept = {
-        (c.e1, c.e2): c.g
-        for c in candidates
-        if c.passes_parity and not c.p_group_stabilizer and not c.small_wild_part
+        (r["e1"], r["e2"]): r["g"]
+        for r in rows
+        if r["even_genus"] and not r["p_group_stabilizer"] and not r["small_wild_part"]
     }
     assert kept == {(18, 4): 176, (36, 7): 66}
-    flagged = {(c.e1, c.e2) for c in candidates if c.passes_parity and c.p_group_stabilizer}
+    flagged = {(r["e1"], r["e2"]) for r in rows if r["even_genus"] and r["p_group_stabilizer"]}
     assert flagged == {(3, 4), (9, 4)}
 
 
@@ -170,15 +171,15 @@ def test_enumerate_deterministic(alt7):
     first = enumerate_case_iii(facts)
     second = enumerate_case_iii(shipped_facts("ALT7", 5))
     assert first == second
-    keys = [(c.e1, c.e2) for c in first]
+    keys = [(q1 * e_one, e2) for q1, e_one, e2, _ in first]
     assert keys == sorted(keys)
 
 
 def test_all_candidates_have_integral_genus_at_least_two():
     for name, p in EXPECTED_EVEN_ROWS:
-        for cand in enumerate_case_iii(shipped_facts(name, p)):
-            assert isinstance(cand.g, int)
-            assert cand.g >= 2
+        for _, _, _, g in enumerate_case_iii(shipped_facts(name, p)):
+            assert isinstance(g, int)
+            assert g >= 2
 
 
 def _coefficient(name, p):

@@ -9,7 +9,6 @@ from curvebound.bounds import AuditReport, PowerBound, Step
 from curvebound.classical import GroupFacts
 from curvebound.fppoly import FpPoly
 from curvebound.prank import CartierMatrix, CurveModel
-from curvebound.ramification import Candidate
 
 F = Fraction
 
@@ -28,10 +27,6 @@ RECORDS = [
     (lambda: CurveModel(2, FpPoly(3, (0, 2, 0, 0, 0, 1)), 3), "CurveModel(m=2, f=x^5 + 2x, p=3)"),
     (lambda: CartierMatrix(p=3, entries=((0, 2), (1, 0)), basis=((1, 1), (2, 1))),
      "CartierMatrix(p=3, entries=((0, 2), (1, 0)), basis=((1, 1), (2, 1)))"),
-    (lambda: Candidate(e1=7, d1=12, e2=2, d2=1, q1=7, E1=1, g=271, passes_parity=False,
-                       passes_hurwitz_filter=False, p_group_stabilizer=True, small_wild_part=False),
-     "Candidate(e1=7, d1=12, e2=2, d2=1, q1=7, E1=1, g=271, passes_parity=False, "
-     "passes_hurwitz_filter=False, p_group_stabilizer=True, small_wild_part=False)"),
 ]
 IDS = [text.split("(", 1)[0] for _, text in RECORDS]
 
